@@ -1,31 +1,22 @@
-// Realtime KV throughput bench: genuine wall-clock, genuine threads.
+// Realtime KV degraded-mode bench: genuine wall-clock, genuine threads.
 //
-// Two sweeps, both over {1, 2, 4} threads:
-//   * data plane — writer threads hammer one ConcurrentWindowStore
-//     (sharded locks + lock-free packed HLC), measuring the window-log
-//     append path the paper's "lightweight" claim rests on;
-//   * full stack — RealtimeKvCluster closed-loop clients drive puts
-//     through the real message transport to replicated servers.
+// Closed-loop replicated puts on a RealtimeKvCluster, pushed through the
+// chaos plane at 0, 1 and 5 % message drop rates, measure what graceful
+// degradation costs.  The clean foreground path over both wires is
+// measured, with spreads, by rtbench (`read-mostly`, `udp-mixed`).
 //
-// Emits BENCH_realtime_kv.json (schema v1).  Shape checks are
-// hardware-aware: the >1.5x scaling claim is asserted only when the
-// host exposes >= 4 cores (`hw_limited` records the decision); the
-// no-collapse floor — concurrency must not *destroy* throughput — is
-// asserted everywhere.  RETRO_BENCH_SCALE shrinks op counts for smoke
-// runs; absolute numbers are host-dependent by design (this is the one
-// bench family that is NOT simulator-calibrated).
+// Emits BENCH_realtime_kv.json (schema v1).  RETRO_BENCH_SCALE shrinks
+// op counts for smoke runs; absolute numbers are host-dependent by
+// design (this bench is NOT simulator-calibrated).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_common.hpp"
-#include "common/random.hpp"
 #include "kvstore/realtime_cluster.hpp"
-#include "runtime/concurrent_store.hpp"
 #include "runtime/deadline.hpp"
 
 namespace retro::bench {
@@ -38,7 +29,6 @@ double secondsSince(Clock::time_point start) {
 }
 
 struct SweepPoint {
-  int threads = 0;
   double opsPerSec = 0;
   double p50Micros = 0;
   double p99Micros = 0;
@@ -52,121 +42,7 @@ double percentileOf(std::vector<uint32_t>& lat, double q) {
   return static_cast<double>(lat[idx]);
 }
 
-/// Data-plane sweep: `threads` writers, disjoint key ranges, one store.
-SweepPoint runStoreSweep(int threads, int64_t opsPerThread) {
-  runtime::ConcurrentStoreConfig cfg;
-  cfg.shards = 16;
-  runtime::ConcurrentWindowStore store(cfg, [start = Clock::now()] {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               Clock::now() - start)
-        .count();
-  });
-
-  std::vector<std::vector<uint32_t>> latencies(threads);
-  std::atomic<bool> go{false};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < threads; ++t) {
-    workers.emplace_back([&, t] {
-      SplitMix64 rng(100 + t);
-      auto& lat = latencies[t];
-      lat.reserve(opsPerThread);
-      const Value value(64, 'v');
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (int64_t i = 0; i < opsPerThread; ++i) {
-        const Key key =
-            "w" + std::to_string(t) + "-" + std::to_string(rng.next() % 512);
-        const auto before = Clock::now();
-        store.put(key, value);
-        lat.push_back(static_cast<uint32_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                Clock::now() - before)
-                .count()));
-      }
-    });
-  }
-  const auto start = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const double elapsed = secondsSince(start);
-
-  std::vector<uint32_t> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  SweepPoint point;
-  point.threads = threads;
-  point.opsPerSec =
-      static_cast<double>(opsPerThread) * threads / std::max(elapsed, 1e-9);
-  point.p50Micros = percentileOf(all, 0.50);
-  point.p99Micros = percentileOf(all, 0.99);
-  return point;
-}
-
-/// Full-stack sweep: `clients` closed-loop clients over 3 replicated
-/// servers on the realtime runtime (threads = servers + clients + 1).
-/// `transport` picks the wire: in-process channels (default) or the
-/// reliable-UDP loopback transport — same protocol stack either way.
-SweepPoint runClusterSweep(
-    int clients, int64_t opsPerClient,
-    kv::TransportKind transport = kv::TransportKind::kInProcess) {
-  kv::RealtimeClusterConfig cfg;
-  cfg.servers = 3;
-  cfg.clients = static_cast<size_t>(clients);
-  cfg.seed = 42;
-  cfg.server.putServiceMicros = 0;  // measure the runtime, not a model
-  cfg.server.getServiceMicros = 0;
-  cfg.server.logAppendMicros = 0;
-  cfg.client.replicas = 2;
-  cfg.client.requiredWrites = 2;
-  cfg.transport = transport;
-  kv::RealtimeKvCluster cluster(cfg);
-
-  std::atomic<int64_t> done{0};
-  std::vector<std::vector<uint32_t>> latencies(clients);
-  const int64_t total = opsPerClient * clients;
-
-  // Closed loop per client, confined to the client's own node thread.
-  std::function<void(int, int64_t)> pump = [&](int c, int64_t i) {
-    if (i >= opsPerClient) return;
-    const Key key = kv::RealtimeKvCluster::keyOf(
-        static_cast<uint64_t>(c) * 100'000 + i % 256);
-    cluster.client(c).put(key, Value(64, 'v'),
-                          [&, c, i](bool ok, TimeMicros latency) {
-                            if (ok) {
-                              latencies[c].push_back(
-                                  static_cast<uint32_t>(latency));
-                            }
-                            done.fetch_add(1, std::memory_order_acq_rel);
-                            pump(c, i + 1);
-                          });
-  };
-
-  cluster.start();
-  const auto start = Clock::now();
-  for (int c = 0; c < clients; ++c) {
-    cluster.context().post(cluster.clientId(c), [&pump, c] { pump(c, 0); });
-  }
-  const bool finished = runtime::waitForCondition(
-      [&] { return done.load(std::memory_order_acquire) >= total; });
-  const double elapsed = secondsSince(start);
-  cluster.stop();
-  if (!finished) {
-    std::fprintf(stderr, "cluster sweep stalled: %lld/%lld ops\n",
-                 static_cast<long long>(done.load()),
-                 static_cast<long long>(total));
-  }
-
-  std::vector<uint32_t> all;
-  for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  SweepPoint point;
-  point.threads = clients;
-  point.opsPerSec = finished
-                        ? static_cast<double>(total) / std::max(elapsed, 1e-9)
-                        : 0;
-  point.p50Micros = percentileOf(all, 0.50);
-  point.p99Micros = percentileOf(all, 0.99);
-  return point;
-}
-
-/// Degraded-mode sweep: the same closed-loop replicated workload pushed
+/// Degraded-mode sweep: a closed-loop replicated workload pushed
 /// through the runtime::FaultfulContext chaos plane at a fixed message
 /// drop rate, with the retry-hardened client config (deadline + capped
 /// backoff, runtime/retry.hpp).  Measures what graceful degradation
@@ -229,7 +105,6 @@ SweepPoint runDegradedSweep(double dropProbability, int64_t opsPerClient) {
   std::vector<uint32_t> all;
   for (auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
   SweepPoint point;
-  point.threads = kClients;
   point.opsPerSec = finished
                         ? static_cast<double>(total) / std::max(elapsed, 1e-9)
                         : 0;
@@ -249,55 +124,9 @@ int run() {
   BenchReport report("realtime_kv");
   ShapeChecker shape(report);
 
-  const unsigned hw = std::thread::hardware_concurrency();
-  const bool hwLimited = hw < 4;
-  report.addMetric("hw_concurrency", static_cast<double>(hw));
-  report.setMeta("hw_limited", hwLimited ? "true" : "false");
   report.setMeta("workload",
-                 "store: 64B puts over 512 keys/thread; cluster: closed-loop "
-                 "replicated puts, 3 servers, replicas=2");
-
-  const int64_t storeOps = scaled(60'000);
-  const int64_t clusterOps = scaled(2'000);
-  const int sweep[] = {1, 2, 4};
-
-  std::printf("== data plane: ConcurrentWindowStore, %lld puts/thread ==\n",
-              static_cast<long long>(storeOps));
-  std::vector<SweepPoint> storePoints;
-  for (int threads : sweep) {
-    storePoints.push_back(runStoreSweep(threads, storeOps));
-    const auto& p = storePoints.back();
-    std::printf("  threads=%d  %10.0f ops/s  p50=%.0fus  p99=%.0fus\n",
-                p.threads, p.opsPerSec, p.p50Micros, p.p99Micros);
-    addPoint(report, "store.t" + std::to_string(threads), p);
-  }
-
-  std::printf("== full stack: RealtimeKvCluster, %lld puts/client ==\n",
-              static_cast<long long>(clusterOps));
-  std::vector<SweepPoint> clusterPoints;
-  for (int clients : sweep) {
-    clusterPoints.push_back(runClusterSweep(clients, clusterOps));
-    const auto& p = clusterPoints.back();
-    std::printf("  clients=%d  %10.0f ops/s  p50=%.0fus  p99=%.0fus\n",
-                p.threads, p.opsPerSec, p.p50Micros, p.p99Micros);
-    addPoint(report, "cluster.c" + std::to_string(clients), p);
-  }
-
-  // Transport comparison: the identical replicated closed-loop workload
-  // over in-process channels vs reliable UDP on loopback.  What the real
-  // wire costs: syscalls, CRC framing, ack traffic — bounded, not free.
-  const int64_t transportOps = scaled(1'500);
-  std::printf("== transport comparison: 2 clients, %lld puts/client ==\n",
-              static_cast<long long>(transportOps));
-  const SweepPoint inproc = runClusterSweep(2, transportOps);
-  std::printf("  inproc      %10.0f ops/s  p50=%.0fus  p99=%.0fus\n",
-              inproc.opsPerSec, inproc.p50Micros, inproc.p99Micros);
-  addPoint(report, "transport.inproc", inproc);
-  const SweepPoint udp =
-      runClusterSweep(2, transportOps, kv::TransportKind::kUdpLoopback);
-  std::printf("  udp         %10.0f ops/s  p50=%.0fus  p99=%.0fus\n",
-              udp.opsPerSec, udp.p50Micros, udp.p99Micros);
-  addPoint(report, "transport.udp", udp);
+                 "closed-loop replicated puts, 3 servers, replicas=2, "
+                 "2 clients, chaos-plane drops");
 
   const int64_t degradedOps = scaled(1'500);
   const double dropRates[] = {0.0, 0.01, 0.05};
@@ -315,49 +144,6 @@ int run() {
   }
 
   // --- shape checks -------------------------------------------------
-  const double store1 = storePoints[0].opsPerSec;
-  const double store4 = storePoints[2].opsPerSec;
-  if (!hwLimited) {
-    shape.check(store4 > 1.5 * store1,
-                "store: 4-thread throughput > 1.5x single-thread "
-                "(hw_concurrency >= 4)");
-  } else {
-    shape.check(true,
-                "store: scaling ratio not asserted (hw_concurrency < 4; "
-                "see hw_limited)");
-  }
-  // Sharded locks + CAS clock must never make concurrency catastrophic,
-  // even time-sliced on one core.
-  shape.check(store4 > 0.35 * store1,
-              "store: no contention collapse at 4 threads (>= 0.35x)");
-  shape.check(storePoints[0].p50Micros <= storePoints[0].p99Micros,
-              "store: latency percentiles ordered (p50 <= p99)");
-
-  const double cluster1 = clusterPoints[0].opsPerSec;
-  const double cluster4 = clusterPoints[2].opsPerSec;
-  shape.check(cluster1 > 0 && cluster4 > 0,
-              "cluster: every sweep completed all ops");
-  shape.check(cluster4 > 0.35 * cluster1,
-              "cluster: no collapse under 4 concurrent clients (>= 0.35x)");
-  if (!hwLimited) {
-    shape.check(cluster4 > 1.0 * cluster1,
-                "cluster: aggregate throughput grows with client "
-                "concurrency (hw_concurrency >= 4)");
-  }
-
-  // The real wire must finish every op and stay within a sane factor of
-  // the in-process channel: loopback UDP costs syscalls per datagram,
-  // not orders of magnitude.  The p99 bound is deliberately loose (25x)
-  // — it catches retransmit storms and pacer bugs, not scheduler noise.
-  shape.check(inproc.opsPerSec > 0 && udp.opsPerSec > 0,
-              "transport: both wires completed all ops");
-  shape.check(udp.opsPerSec > 0.05 * inproc.opsPerSec,
-              "transport: UDP loopback throughput >= 0.05x in-process");
-  shape.check(udp.p99Micros <= 25.0 * std::max(inproc.p99Micros, 1.0),
-              "transport: UDP p99 within 25x of in-process p99");
-  shape.check(udp.p50Micros <= udp.p99Micros,
-              "transport: UDP latency percentiles ordered");
-
   // Graceful degradation: under a 5% drop rate the retry machinery must
   // keep every op resolving (no stall => nonzero throughput), must not
   // collapse throughput, and the deadline+backoff resends show up where

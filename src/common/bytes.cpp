@@ -65,6 +65,14 @@ uint64_t ByteReader::readVarU64() {
   }
 }
 
+uint64_t ByteReader::readCount(size_t minBytesPerItem) {
+  const uint64_t n = readVarU64();
+  if (n > remaining() / minBytesPerItem) {
+    throw std::out_of_range("ByteReader: count exceeds input");
+  }
+  return n;
+}
+
 std::string ByteReader::readBytes() {
   const uint64_t n = readVarU64();
   require(n);

@@ -49,6 +49,10 @@ class ByteReader {
   int64_t readI64() { return static_cast<int64_t>(readU64()); }
   uint64_t readVarU64();
   std::string readBytes();
+  /// A varint item count, checked before the caller allocates for it:
+  /// every item takes at least `minBytesPerItem` bytes, so a count the
+  /// remaining input cannot hold throws std::out_of_range.
+  uint64_t readCount(size_t minBytesPerItem);
 
   size_t remaining() const { return data_.size() - pos_; }
   bool atEnd() const { return pos_ == data_.size(); }

@@ -105,25 +105,14 @@ Result<LocalSnapshot> deserializeSnapshot(std::string_view data) {
     if (p.readU8() != 0) snap.baseId = p.readVarU64();
     snap.persistedBytes = p.readVarU64();
 
-    const uint64_t stateCount = p.readVarU64();
-    // Every entry needs at least two bytes (its two length prefixes), so
-    // a count beyond remaining/2 is certainly corrupt.  Validating before
-    // reserve() keeps an adversarial count from forcing a huge
-    // allocation ahead of the inevitable truncation error.
-    if (stateCount > p.remaining() / 2) {
-      return Status(StatusCode::kInvalidArgument,
-                    "snapshot state count exceeds payload size");
-    }
+    // Every entry needs at least two bytes (its two length prefixes).
+    const uint64_t stateCount = p.readCount(2);
     snap.state.reserve(stateCount);
     for (uint64_t i = 0; i < stateCount; ++i) {
       Key key = p.readBytes();
       snap.state.emplace(std::move(key), p.readBytes());
     }
-    const uint64_t deltaCount = p.readVarU64();
-    if (deltaCount > p.remaining() / 2) {
-      return Status(StatusCode::kInvalidArgument,
-                    "snapshot delta count exceeds payload size");
-    }
+    const uint64_t deltaCount = p.readCount(2);
     for (uint64_t i = 0; i < deltaCount; ++i) {
       Key key = p.readBytes();
       snap.delta.set(key, readOptValue(p));

@@ -50,13 +50,19 @@ void GridClient::get(const Key& key, GetCallback done) {
 }
 
 void GridClient::onMessage(sim::Message&& msg) {
-  ByteReader r(msg.payload);
+  std::optional<hlc::Received<MapResponseBody>> received;
+  if (msg.type == kMapResponse) {
+    received = hlc::decodeMessage<MapResponseBody>(msg.payload, hlcEnabled_);
+  }
+  if (!received) {
+    ++malformedMessages_;
+    return;
+  }
   if (hlcEnabled_) {
-    const hlc::Timestamp ts = hlc::unwrapHlc(clock_, r);
+    const hlc::Timestamp ts = clock_.tick(received->ts);
     if (trace_) trace_->onRecv(id_, msg.msgId, ts);
   }
-  if (msg.type != kMapResponse) return;
-  auto body = MapResponseBody::readFrom(r);
+  MapResponseBody& body = received->body;
   auto it = pending_.find(body.requestId);
   if (it == pending_.end()) return;
   PendingOp op = std::move(it->second);

@@ -33,6 +33,9 @@ class GridClient {
   void get(const Key& key, GetCallback done);
 
   uint64_t opsCompleted() const { return opsCompleted_; }
+  /// Received messages dropped undelivered: truncated, trailing bytes,
+  /// or a type this client does not serve.
+  uint64_t malformedMessages() const { return malformedMessages_; }
 
   /// Attach a causality trace (fuzz harness); null disables recording.
   /// Only meaningful when hlcEnabled.
@@ -58,6 +61,7 @@ class GridClient {
   uint64_t nextRequestId_ = 1;
   std::unordered_map<uint64_t, PendingOp> pending_;
   uint64_t opsCompleted_ = 0;
+  uint64_t malformedMessages_ = 0;
 };
 
 }  // namespace retro::grid

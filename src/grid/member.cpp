@@ -6,6 +6,13 @@
 
 namespace retro::grid {
 
+namespace {
+// Modelled CPU per received control message, before the HLC add-on.
+constexpr TimeMicros kHeartbeatMicros = 5;
+constexpr TimeMicros kSnapshotStartMicros = 200;
+constexpr TimeMicros kSnapshotAckMicros = 20;
+}  // namespace
+
 GridMember::GridMember(NodeId id, runtime::ExecutionContext& ctx,
                        hlc::PhysicalClock& clock, const PartitionTable& table,
                        MemberConfig config)
@@ -65,11 +72,6 @@ void GridMember::preload(const Key& key, Value value) {
 
 // --- RPC layer: HLC implanted in every remote operation (§IV-B) ---
 
-hlc::Timestamp GridMember::readHeader(ByteReader& r) {
-  if (config_.mode == Mode::kOriginal) return {};
-  return hlc::Timestamp::readFrom(r);
-}
-
 hlc::Timestamp GridMember::writeHeader(ByteWriter& w) {
   if (config_.mode == Mode::kOriginal) return {};
   return retroscope_.wrapHLC(w);
@@ -86,94 +88,44 @@ void GridMember::send(NodeId to, uint32_t type,
   }
 }
 
-void GridMember::onMessage(sim::Message&& msg) {
-  ByteReader r(msg.payload);
-  const hlc::Timestamp remoteTs = readHeader(r);
-  const TimeMicros hlcCost =
-      config_.mode == Mode::kOriginal ? 0 : config_.hlcCpuMicros;
+template <typename Body>
+void GridMember::serve(const sim::Message& msg, TimeMicros cost,
+                       Handler<Body> handler) {
+  const bool hlcOn = config_.mode != Mode::kOriginal;
+  auto received = hlc::decodeMessage<Body>(msg.payload, hlcOn);
+  if (!received) {
+    ++malformedMessages_;
+    return;
+  }
+  if (hlcOn) cost += config_.hlcCpuMicros;
+  executor_.submit(cost, [this, hlcOn, from = msg.from, msgId = msg.msgId,
+                          handler,
+                          received = std::move(*received)]() mutable {
+    if (hlcOn) {
+      const hlc::Timestamp ts = retroscope_.timeTick(received.ts);
+      if (trace_) trace_->onRecv(id_, msgId, ts);
+    }
+    (this->*handler)(from, std::move(received.body));
+  });
+}
 
+void GridMember::onMessage(sim::Message&& msg) {
+  using G = GridMember;
+  const TimeMicros logMicros =
+      config_.mode == Mode::kFull ? config_.logAppendMicros : 0;
   switch (msg.type) {
-    case kMapPut: {
-      auto body = MapPutBody::readFrom(r);
-      const TimeMicros cost =
-          config_.putServiceMicros + hlcCost +
-          (config_.mode == Mode::kFull ? config_.logAppendMicros : 0);
-      executor_.submit(cost, [this, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handlePut(from, std::move(body));
-      });
-      break;
-    }
-    case kMapGet: {
-      auto body = MapGetBody::readFrom(r);
-      executor_.submit(config_.getServiceMicros + hlcCost,
-                       [this, remoteTs, from = msg.from, msgId = msg.msgId,
-                        body = std::move(body)]() mutable {
-                         if (config_.mode != Mode::kOriginal) {
-                           const hlc::Timestamp ts =
-                               retroscope_.timeTick(remoteTs);
-                           if (trace_) trace_->onRecv(id_, msgId, ts);
-                         }
-                         handleGet(from, std::move(body));
-                       });
-      break;
-    }
-    case kBackupReplicate: {
-      auto body = BackupReplicateBody::readFrom(r);
-      executor_.submit(config_.backupApplyMicros + hlcCost,
-                       [this, remoteTs, msgId = msg.msgId,
-                        body = std::move(body)]() mutable {
-                         if (config_.mode != Mode::kOriginal) {
-                           const hlc::Timestamp ts =
-                               retroscope_.timeTick(remoteTs);
-                           if (trace_) trace_->onRecv(id_, msgId, ts);
-                         }
-                         handleBackup(std::move(body));
-                       });
-      break;
-    }
-    case kHeartbeat: {
-      // Health monitoring also goes through the HLC-injecting RPC layer.
-      executor_.submit(5 + hlcCost, [this, remoteTs, msgId = msg.msgId] {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-      });
-      break;
-    }
-    case kSnapshotStart: {
-      auto body = GridSnapshotStartBody::readFrom(r);
-      executor_.submit(200 + hlcCost, [this, remoteTs, from = msg.from,
-                                       msgId = msg.msgId,
-                                       body = std::move(body)]() mutable {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handleSnapshotStart(from, std::move(body));
-      });
-      break;
-    }
-    case kSnapshotAck: {
-      auto body = GridSnapshotAckBody::readFrom(r);
-      executor_.submit(20 + hlcCost, [this, remoteTs, msgId = msg.msgId,
-                                      body]() {
-        if (config_.mode != Mode::kOriginal) {
-          const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-          if (trace_) trace_->onRecv(id_, msgId, ts);
-        }
-        handleSnapshotAck(body);
-      });
-      break;
-    }
-    default:
-      break;
+    case kMapPut:
+      return serve(msg, config_.putServiceMicros + logMicros, &G::handlePut);
+    case kMapGet: return serve(msg, config_.getServiceMicros, &G::handleGet);
+    case kBackupReplicate:
+      return serve(msg, config_.backupApplyMicros, &G::handleBackup);
+    // Health monitoring also goes through the HLC-injecting RPC layer.
+    case kHeartbeat: return serve(msg, kHeartbeatMicros, &G::handleHeartbeat);
+    case kSnapshotStart:
+      return serve(msg, kSnapshotStartMicros, &G::handleSnapshotStart);
+    case kSnapshotAck:
+      return serve(msg, kSnapshotAckMicros, &G::handleSnapshotAck);
+    default: ++malformedMessages_;  // a type this member does not serve
   }
 }
 
@@ -242,7 +194,7 @@ void GridMember::handleGet(NodeId from, MapGetBody body) {
   send(from, kMapResponse, [&](ByteWriter& w) { resp.writeTo(w); });
 }
 
-void GridMember::handleBackup(BackupReplicateBody body) {
+void GridMember::handleBackup(NodeId /*from*/, BackupReplicateBody body) {
   backups_[body.partition][body.key] = std::move(body.value);
 }
 
@@ -385,8 +337,7 @@ void GridMember::handleSnapshotStart(NodeId from, GridSnapshotStartBody body) {
       cached != completedAcks_.end()) {
     ++duplicateSnapshotStarts_;
     if (from == id_) {
-      GridSnapshotAckBody ackBody{cached->second};
-      handleSnapshotAck(ackBody);
+      handleSnapshotAck(id_, GridSnapshotAckBody{cached->second});
     } else {
       send(from, kSnapshotAck, [&](ByteWriter& w) {
         GridSnapshotAckBody ackBody{cached->second};
@@ -522,8 +473,7 @@ void GridMember::memberSnapshotDone(core::SnapshotId id) {
     completedAcks_[id] = ack;
     if (!outOfReach) ++snapshotsCompleted_;
     if (initiator == id_) {
-      GridSnapshotAckBody body{ack};
-      handleSnapshotAck(body);
+      handleSnapshotAck(id_, GridSnapshotAckBody{ack});
     } else {
       send(initiator, kSnapshotAck, [&](ByteWriter& w) {
         GridSnapshotAckBody body{ack};
@@ -549,7 +499,7 @@ void GridMember::memberSnapshotDone(core::SnapshotId id) {
   finish();
 }
 
-void GridMember::handleSnapshotAck(GridSnapshotAckBody body) {
+void GridMember::handleSnapshotAck(NodeId /*from*/, GridSnapshotAckBody body) {
   auto it = sessions_.find(body.ack.id);
   if (it == sessions_.end()) return;
   // Cancel any pending resend timer for the answering member.

@@ -120,6 +120,9 @@ class GridMember {
   /// ignored because the snapshot is already executing (initiator
   /// retries are idempotent).
   uint64_t duplicateSnapshotStarts() const { return duplicateSnapshotStarts_; }
+  /// Received messages dropped undelivered: truncated, trailing bytes,
+  /// or a type this member does not serve.
+  uint64_t malformedMessages() const { return malformedMessages_; }
 
   /// Running totals over every partition window-log diff computed on
   /// this member, and the number of diff calls folded in.
@@ -153,8 +156,18 @@ class GridMember {
     hlc::Timestamp captureTime;
   };
 
+  /// A request handler: runs on the executor with the sender and the
+  /// decoded body.
+  template <typename Body>
+  using Handler = void (GridMember::*)(NodeId from, Body body);
+
   void onMessage(sim::Message&& msg);
-  hlc::Timestamp readHeader(ByteReader& r);
+  /// The receive path every served type shares: decode-or-reject, then
+  /// queue `handler` on the executor behind `cost` plus the HLC add-on.
+  /// Outside Mode::kOriginal the task ticks the HLC and records the
+  /// receive in the trace before it handles.
+  template <typename Body>
+  void serve(const sim::Message& msg, TimeMicros cost, Handler<Body> handler);
   hlc::Timestamp writeHeader(ByteWriter& w);
   void send(NodeId to, uint32_t type,
             const std::function<void(ByteWriter&)>& body);
@@ -162,9 +175,10 @@ class GridMember {
   void handlePut(NodeId from, MapPutBody body);
   void applyPut(NodeId from, const MapPutBody& body, uint32_t partition);
   void handleGet(NodeId from, MapGetBody body);
-  void handleBackup(BackupReplicateBody body);
+  void handleBackup(NodeId from, BackupReplicateBody body);
+  void handleHeartbeat(NodeId /*from*/, HeartbeatBody /*body*/) {}
   void handleSnapshotStart(NodeId from, GridSnapshotStartBody body);
-  void handleSnapshotAck(GridSnapshotAckBody body);
+  void handleSnapshotAck(NodeId from, GridSnapshotAckBody body);
 
   void runNextPartitionSnapshot(core::SnapshotId id);
   void runPartitionSnapshot(core::SnapshotId id, uint32_t partition);
@@ -212,6 +226,7 @@ class GridMember {
   uint64_t queuedBehindLock_ = 0;
   uint64_t snapshotsCompleted_ = 0;
   uint64_t duplicateSnapshotStarts_ = 0;
+  uint64_t malformedMessages_ = 0;
   log::DiffStats diffTotals_;
   uint64_t diffCalls_ = 0;
 };

@@ -6,6 +6,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "common/types.hpp"
 #include "hlc/timestamp.hpp"
@@ -103,5 +105,31 @@ class Clock {
 /// or strip it, tick for the receive event, and return the new HLC time.
 Timestamp wrapHlc(Clock& clock, ByteWriter& message);
 Timestamp unwrapHlc(Clock& clock, ByteReader& message);
+
+/// A received message split into its HLC header and its body.
+template <typename Body>
+struct Received {
+  Timestamp ts;
+  Body body;
+};
+
+/// Decode-or-reject for receive paths: `payload` must be the 8-byte HLC
+/// header (absent when `withHeader` is false) followed by exactly one
+/// `Body`.  Truncated input, a count the input cannot hold and trailing
+/// bytes all yield nullopt instead of throwing.  Unlike unwrapHlc it
+/// does not tick the clock, so a rejected message leaves it untouched.
+template <typename Body>
+std::optional<Received<Body>> decodeMessage(std::string_view payload,
+                                            bool withHeader = true) {
+  ByteReader r(payload);
+  try {
+    Received<Body> m;
+    if (withHeader) m.ts = Timestamp::readFrom(r);
+    m.body = Body::readFrom(r);
+    if (r.atEnd()) return m;
+  } catch (const std::out_of_range&) {
+  }
+  return std::nullopt;
+}
 
 }  // namespace retro::hlc

@@ -25,7 +25,7 @@ void VectorClock::writeTo(ByteWriter& w) const {
 }
 
 std::vector<uint64_t> VectorClock::readFrom(ByteReader& r) {
-  const uint64_t n = r.readVarU64();
+  const uint64_t n = r.readCount(8);
   std::vector<uint64_t> v(n);
   for (auto& x : v) x = r.readU64();
   return v;

@@ -520,23 +520,32 @@ const core::SnapshotSession* AdminClient::findSession(
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
-void AdminClient::onMessage(sim::Message&& msg) {
-  ByteReader r(msg.payload);
-  const hlc::Timestamp ts = hlc::unwrapHlc(clock_, r);
+template <typename Body>
+std::optional<Body> AdminClient::receive(const sim::Message& msg) {
+  auto received = hlc::decodeMessage<Body>(msg.payload);
+  if (!received) {
+    ++malformedMessages_;
+    return std::nullopt;
+  }
+  const hlc::Timestamp ts = clock_.tick(received->ts);
   if (trace_) trace_->onRecv(id_, msg.msgId, ts);
+  return std::move(received->body);
+}
 
+void AdminClient::onMessage(sim::Message&& msg) {
   if (msg.type == kSnapshotAck) {
-    auto body = SnapshotAckBody::readFrom(r);
-    handleAck(body.ack);
+    if (auto body = receive<SnapshotAckBody>(msg)) handleAck(body->ack);
   } else if (msg.type == kProgressReply) {
-    auto body = ProgressReplyBody::readFrom(r);
-    if (progressHandler_) progressHandler_(msg.from, body);
+    auto body = receive<ProgressReplyBody>(msg);
+    if (body && progressHandler_) progressHandler_(msg.from, *body);
   } else if (msg.type == kQueryReply) {
-    auto body = QueryReplyBody::readFrom(r);
-    handleQueryReply(msg.from, std::move(body));
+    if (auto body = receive<QueryReplyBody>(msg)) {
+      handleQueryReply(msg.from, std::move(*body));
+    }
   } else if (msg.type == kGossip) {
-    auto body = GossipBody::readFrom(r);
-    adoptView(body.view);
+    if (auto body = receive<GossipBody>(msg)) adoptView(body->view);
+  } else {
+    ++malformedMessages_;  // a type this node does not serve
   }
 }
 

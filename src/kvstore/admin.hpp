@@ -158,6 +158,9 @@ class AdminClient {
   uint64_t viewEpoch() const { return hasView_ ? view_.epoch() : 0; }
   /// Nodes a new snapshot would currently be collected from.
   const std::vector<NodeId>& participants() const { return servers_; }
+  /// Received messages dropped undelivered: truncated, trailing bytes,
+  /// a count the payload cannot hold, or a type this node does not serve.
+  uint64_t malformedMessages() const { return malformedMessages_; }
 
  private:
   /// Per-(session, participant) retry state.  `target` is the node the
@@ -180,6 +183,10 @@ class AdminClient {
   using AttemptKey = std::pair<core::SnapshotId, NodeId>;
 
   void onMessage(sim::Message&& msg);
+  /// Decode-or-reject, then the receive-event tick: nullopt (counted in
+  /// malformedMessages()) when the message does not decode as `Body`.
+  template <typename Body>
+  std::optional<Body> receive(const sim::Message& msg);
   /// Merge a gossiped membership view: re-derive the participant list
   /// (routable members) and the fallback ring for *future* sessions;
   /// in-flight sessions keep the participant set they started with.
@@ -237,6 +244,7 @@ class AdminClient {
   std::function<void(NodeId, ProgressReplyBody)> progressHandler_;
   std::map<uint64_t, QuerySession> querySessions_;
   uint64_t nextQueryId_ = 1;
+  uint64_t malformedMessages_ = 0;
 };
 
 }  // namespace retro::kv

@@ -169,20 +169,29 @@ void VoldemortClient::retryOp(uint64_t reqId, PendingOp& op) {
   }
 }
 
-void VoldemortClient::onMessage(sim::Message&& msg) {
-  ByteReader r(msg.payload);
+template <typename Body>
+std::optional<Body> VoldemortClient::receive(const sim::Message& msg) {
+  auto received = hlc::decodeMessage<Body>(msg.payload);
+  if (!received) {
+    ++malformedMessages_;
+    return std::nullopt;
+  }
   if (config_.faultInjection.skipReceiveTick) {
-    // Injected bug: consume the header but drop the causality update.
-    hlc::Timestamp::readFrom(r);
+    // Injected bug: drop the causality update.
     if (trace_) trace_->onRecv(id_, msg.msgId, clock_.current());
   } else {
     // receive-event tick: causality via client
-    const hlc::Timestamp ts = hlc::unwrapHlc(clock_, r);
+    const hlc::Timestamp ts = clock_.tick(received->ts);
     if (trace_) trace_->onRecv(id_, msg.msgId, ts);
   }
+  return std::move(received->body);
+}
 
+void VoldemortClient::onMessage(sim::Message&& msg) {
   if (msg.type == kPutResponse) {
-    auto body = PutResponseBody::readFrom(r);
+    auto decoded = receive<PutResponseBody>(msg);
+    if (!decoded) return;
+    PutResponseBody& body = *decoded;
     if (body.view) adoptView(*body.view, body.viewEpoch);
     auto it = pending_.find(body.requestId);
     if (it == pending_.end()) return;
@@ -202,7 +211,9 @@ void VoldemortClient::onMessage(sim::Message&& msg) {
       pending_.erase(it);
     }
   } else if (msg.type == kGetResponse) {
-    auto body = GetResponseBody::readFrom(r);
+    auto decoded = receive<GetResponseBody>(msg);
+    if (!decoded) return;
+    GetResponseBody& body = *decoded;
     if (body.view) adoptView(*body.view, body.viewEpoch);
     auto it = pending_.find(body.requestId);
     if (it == pending_.end()) return;
@@ -221,6 +232,8 @@ void VoldemortClient::onMessage(sim::Message&& msg) {
       completeGet(body.requestId, op, /*ok=*/true);
     }
     if (op.outstanding == 0) pending_.erase(it);
+  } else {
+    ++malformedMessages_;  // a type this node does not serve
   }
 }
 

@@ -84,6 +84,9 @@ class VoldemortClient {
   uint64_t viewEpoch() const { return viewEpoch_; }
   /// Times the client rebuilt its ring from a piggybacked view.
   uint64_t viewRefreshes() const { return viewRefreshes_; }
+  /// Received messages dropped undelivered: truncated, trailing bytes,
+  /// a count the payload cannot hold, or a type this node does not serve.
+  uint64_t malformedMessages() const { return malformedMessages_; }
 
  private:
   struct PendingOp {
@@ -110,6 +113,10 @@ class VoldemortClient {
   };
 
   void onMessage(sim::Message&& msg);
+  /// Decode-or-reject, then the receive-event tick: nullopt (counted in
+  /// malformedMessages()) when the message does not decode as `Body`.
+  template <typename Body>
+  std::optional<Body> receive(const sim::Message& msg);
   /// Rebuild the routing ring from a view piggybacked on a response
   /// (the server's stale-view redirect); newer epochs only.
   void adoptView(const MembershipView& view, uint64_t epoch);
@@ -138,6 +145,7 @@ class VoldemortClient {
   uint64_t opsCompleted_ = 0;
   uint64_t opsTimedOut_ = 0;
   uint64_t opsRetried_ = 0;
+  uint64_t malformedMessages_ = 0;
 };
 
 }  // namespace retro::kv

@@ -143,7 +143,7 @@ void RepairRequestBody::writeTo(ByteWriter& w) const {
 RepairRequestBody RepairRequestBody::readFrom(ByteReader& r) {
   RepairRequestBody b;
   b.requestId = r.readVarU64();
-  const uint64_t count = r.readVarU64();
+  const uint64_t count = r.readCount(1);  // key length
   b.keys.reserve(count);
   for (uint64_t i = 0; i < count; ++i) b.keys.push_back(r.readBytes());
   return b;
@@ -163,7 +163,8 @@ void RepairResponseBody::writeTo(ByteWriter& w) const {
 RepairResponseBody RepairResponseBody::readFrom(ByteReader& r) {
   RepairResponseBody b;
   b.requestId = r.readVarU64();
-  const uint64_t count = r.readVarU64();
+  // key length, known flag, version count
+  const uint64_t count = r.readCount(3);
   b.items.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     Item it;
@@ -245,14 +246,16 @@ TransferChunkBody TransferChunkBody::readFrom(ByteReader& r) {
   b.chunkSeq = r.readVarU64();
   b.done = r.readU8() != 0;
   b.sourceFloor = hlc::Timestamp::readFrom(r);
-  const uint64_t count = r.readVarU64();
+  // key and value lengths, version and history counts
+  const uint64_t count = r.readCount(4);
   b.items.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     TransferItemWire it;
     it.key = r.readBytes();
     it.value = r.readBytes();
     it.version = VersionVector::readFrom(r);
-    const uint64_t entries = r.readVarU64();
+    // key length, two value flags, timestamp
+    const uint64_t entries = r.readCount(3 + hlc::Timestamp::kWireSize);
     it.history.reserve(entries);
     for (uint64_t j = 0; j < entries; ++j) {
       it.history.push_back(readLogEntry(r));
@@ -306,7 +309,8 @@ QueryReplyBody QueryReplyBody::readFrom(ByteReader& r) {
   b.queryId = r.readVarU64();
   b.statusCode = static_cast<StatusCode>(r.readU8());
   b.reason = r.readBytes();
-  const uint64_t count = r.readVarU64();
+  // timestamp, two varints and three u64 of the partial aggregate
+  const uint64_t count = r.readCount(hlc::Timestamp::kWireSize + 2 + 3 * 8);
   b.steps.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     core::TemporalStep s;

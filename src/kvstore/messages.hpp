@@ -1,8 +1,8 @@
 // Wire protocol of the Voldemort-like store.  Every message body begins
 // with the sender's 8-byte HLC timestamp (written via Retroscope
-// wrapHLC, stripped via unwrapHLC), exactly the paper's instrumentation:
-// "adding HLC to the network protocol ... the client contacts the nodes
-// and passes the timestamps along with each message".
+// wrapHLC, split off by hlc::decodeMessage), exactly the paper's
+// instrumentation: "adding HLC to the network protocol ... the client
+// contacts the nodes and passes the timestamps along with each message".
 #pragma once
 
 #include <cstdint>
@@ -44,7 +44,7 @@ enum MsgType : uint32_t {
 };
 
 // All bodies are serialized *after* the leading HLC timestamp, which the
-// messaging helpers below leave to wrapHLC/unwrapHLC.
+// messaging helpers below leave to wrapHLC/hlc::decodeMessage.
 
 struct PutRequestBody {
   uint64_t requestId = 0;

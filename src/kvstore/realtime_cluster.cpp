@@ -7,7 +7,7 @@
 namespace retro::kv {
 
 RealtimeKvCluster::RealtimeKvCluster(RealtimeClusterConfig config)
-    : config_(std::move(config)), ctx_(config_.runtime) {
+    : config_(std::move(config)) {
   // One extra slot when the chaos plane is on: the controller node that
   // owns fault script timers (no clock offset; it never ticks HLC).
   const size_t totalNodes =

@@ -47,7 +47,6 @@ struct RealtimeClusterConfig {
   ServerConfig server;
   ClientConfig client;
   AdminConfig admin;
-  runtime::RealtimeConfig runtime;
 
   /// Transport selector: in-process channels (default) or loss-hardened
   /// real UDP sockets on loopback.

@@ -1,6 +1,7 @@
 #include "kvstore/server.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "common/random.hpp"
 #include "runtime/retry.hpp"
@@ -231,168 +232,81 @@ void VoldemortServer::send(NodeId to, uint32_t type,
   if (trace_) trace_->onSend(id_, msgId, ts);
 }
 
-void VoldemortServer::onMessage(sim::Message&& msg) {
-  if (!alive_) return;
+template <typename Body, typename Cost>
+void VoldemortServer::serve(const sim::Message& msg, Cost cost,
+                            Handler<Body> handler) {
+  auto received = hlc::decodeMessage<Body>(msg.payload);
+  if (!received) {
+    ++malformedMessages_;
+    return;
+  }
+  TimeMicros micros = 0;
+  if constexpr (std::is_invocable_v<Cost, const Body&>) {
+    micros = cost(received->body);
+  } else {
+    micros = cost;
+  }
   // Tasks queued behind the executor check the incarnation as well as
   // liveness: a message accepted before a crash must not execute inside a
   // later incarnation after restart.
-  const uint64_t inc = incarnation_;
-  ByteReader r(msg.payload);
-  const hlc::Timestamp remoteTs = hlc::Timestamp::readFrom(r);
+  executor_.submit(micros, [this, inc = incarnation_, from = msg.from,
+                            msgId = msg.msgId, handler,
+                            received = std::move(*received)]() mutable {
+    if (!alive_ || incarnation_ != inc) return;
+    const hlc::Timestamp eventTs = retroscope_.timeTick(received.ts);
+    if (trace_) trace_->onRecv(id_, msgId, eventTs);
+    (this->*handler)(eventTs, from, std::move(received.body));
+  });
+}
+
+namespace {
+// Modelled CPU per received request (simulator cost model).
+constexpr TimeMicros kSnapshotRequestMicros = 500;
+constexpr TimeMicros kQueryRequestMicros = 300;
+constexpr TimeMicros kRepairMicros = 200;  // request and response
+constexpr TimeMicros kJoinRequestMicros = 80;
+constexpr TimeMicros kMembershipMicros = 60;  // gossip and join response
+constexpr TimeMicros kControlMicros = 50;     // progress and transfer ack
+
+/// Applying a transfer chunk costs roughly what the equivalent puts would.
+TimeMicros transferChunkMicros(const TransferChunkBody& body) {
+  return 150 + static_cast<TimeMicros>(body.items.size()) * 20;
+}
+}  // namespace
+
+TimeMicros VoldemortServer::putMicros() const {
+  if (!config_.windowLogEnabled) return config_.putServiceMicros;
+  return config_.putServiceMicros + config_.logAppendMicros +
+         static_cast<TimeMicros>(config_.logGcCouplingMicros *
+                                 memory_.utilization());
+}
+
+void VoldemortServer::onMessage(sim::Message&& msg) {
+  if (!alive_) return;
+  using S = VoldemortServer;
   switch (msg.type) {
-    case kPutRequest: {
-      auto body = PutRequestBody::readFrom(r);
-      TimeMicros cost = config_.putServiceMicros;
-      if (config_.windowLogEnabled) {
-        cost += config_.logAppendMicros +
-                static_cast<TimeMicros>(config_.logGcCouplingMicros *
-                                        memory_.utilization());
-      }
-      executor_.submit(cost, [this, inc, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handlePut(eventTs, from, std::move(body));
-      });
-      break;
-    }
-    case kGetRequest: {
-      auto body = GetRequestBody::readFrom(r);
-      executor_.submit(config_.getServiceMicros,
-                       [this, inc, remoteTs, from = msg.from,
-                        msgId = msg.msgId, body = std::move(body)]() mutable {
-                         if (!alive_ || incarnation_ != inc) return;
-                         const hlc::Timestamp ts =
-                             retroscope_.timeTick(remoteTs);
-                         if (trace_) trace_->onRecv(id_, msgId, ts);
-                         handleGet(from, std::move(body));
-                       });
-      break;
-    }
-    case kSnapshotRequest: {
-      auto body = SnapshotRequestBody::readFrom(r);
-      executor_.submit(500, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleSnapshotRequest(from, std::move(body));
-      });
-      break;
-    }
-    case kQueryRequest: {
-      auto body = QueryRequestBody::readFrom(r);
-      executor_.submit(300, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleQueryRequest(from, std::move(body));
-      });
-      break;
-    }
-    case kProgressRequest: {
-      auto body = ProgressRequestBody::readFrom(r);
-      executor_.submit(50, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleProgressRequest(from, body);
-      });
-      break;
-    }
-    case kRepairRequest: {
-      auto body = RepairRequestBody::readFrom(r);
-      executor_.submit(200, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleRepairRequest(from, std::move(body));
-      });
-      break;
-    }
-    case kRepairResponse: {
-      auto body = RepairResponseBody::readFrom(r);
-      executor_.submit(200, [this, inc, remoteTs, from = msg.from,
-                             msgId = msg.msgId,
-                             body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handleRepairResponse(eventTs, from, std::move(body));
-      });
-      break;
-    }
-    case kGossip: {
-      auto body = GossipBody::readFrom(r);
-      executor_.submit(60, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId,
-                            body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleGossip(from, std::move(body));
-      });
-      break;
-    }
-    case kJoinRequest: {
-      auto body = JoinRequestBody::readFrom(r);
-      executor_.submit(80, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleJoinRequest(from, body);
-      });
-      break;
-    }
-    case kJoinResponse: {
-      auto body = JoinResponseBody::readFrom(r);
-      executor_.submit(60, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId,
-                            body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleJoinResponse(from, std::move(body));
-      });
-      break;
-    }
-    case kTransferChunk: {
-      auto body = TransferChunkBody::readFrom(r);
-      // Applying a chunk costs roughly what the equivalent puts would.
-      const TimeMicros cost =
-          150 + static_cast<TimeMicros>(body.items.size()) * 20;
-      executor_.submit(cost, [this, inc, remoteTs, from = msg.from,
-                              msgId = msg.msgId,
-                              body = std::move(body)]() mutable {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp eventTs = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, eventTs);
-        handleTransferChunk(eventTs, from, std::move(body));
-      });
-      break;
-    }
-    case kTransferAck: {
-      auto body = TransferAckBody::readFrom(r);
-      executor_.submit(50, [this, inc, remoteTs, from = msg.from,
-                            msgId = msg.msgId, body]() {
-        if (!alive_ || incarnation_ != inc) return;
-        const hlc::Timestamp ts = retroscope_.timeTick(remoteTs);
-        if (trace_) trace_->onRecv(id_, msgId, ts);
-        handleTransferAck(from, body);
-      });
-      break;
-    }
-    default:
-      break;  // unknown type: drop
+    case kPutRequest: return serve(msg, putMicros(), &S::handlePut);
+    case kGetRequest:
+      return serve(msg, config_.getServiceMicros, &S::handleGet);
+    case kSnapshotRequest:
+      return serve(msg, kSnapshotRequestMicros, &S::handleSnapshotRequest);
+    case kQueryRequest:
+      return serve(msg, kQueryRequestMicros, &S::handleQueryRequest);
+    case kProgressRequest:
+      return serve(msg, kControlMicros, &S::handleProgressRequest);
+    case kRepairRequest:
+      return serve(msg, kRepairMicros, &S::handleRepairRequest);
+    case kRepairResponse:
+      return serve(msg, kRepairMicros, &S::handleRepairResponse);
+    case kGossip: return serve(msg, kMembershipMicros, &S::handleGossip);
+    case kJoinRequest:
+      return serve(msg, kJoinRequestMicros, &S::handleJoinRequest);
+    case kJoinResponse:
+      return serve(msg, kMembershipMicros, &S::handleJoinResponse);
+    case kTransferChunk:
+      return serve(msg, transferChunkMicros, &S::handleTransferChunk);
+    case kTransferAck: return serve(msg, kControlMicros, &S::handleTransferAck);
+    default: ++malformedMessages_;  // a type this node does not serve
   }
 }
 
@@ -460,7 +374,8 @@ void VoldemortServer::handlePut(hlc::Timestamp eventTs, NodeId from,
   });
 }
 
-void VoldemortServer::handleGet(NodeId from, GetRequestBody body) {
+void VoldemortServer::handleGet(hlc::Timestamp /*eventTs*/, NodeId from,
+                                GetRequestBody body) {
   ++getsProcessed_;
   GetResponseBody resp;
   resp.requestId = body.requestId;
@@ -491,7 +406,8 @@ void VoldemortServer::updateMemoryModel() {
 // Snapshot execution (Fig. 8)
 // ---------------------------------------------------------------------------
 
-void VoldemortServer::handleSnapshotRequest(NodeId from,
+void VoldemortServer::handleSnapshotRequest(hlc::Timestamp /*eventTs*/,
+                                            NodeId from,
                                             SnapshotRequestBody body) {
   // Idempotency under initiator retries: a request already resolved is
   // re-acked with the original outcome; one still executing is left
@@ -1087,7 +1003,8 @@ size_t VoldemortServer::repairCandidateCount(const Key& key) const {
   return count;
 }
 
-void VoldemortServer::handleRepairRequest(NodeId from,
+void VoldemortServer::handleRepairRequest(hlc::Timestamp /*eventTs*/,
+                                          NodeId from,
                                           RepairRequestBody body) {
   storageCounters_.add("storage.repair_requests_served");
   RepairResponseBody resp;
@@ -1150,7 +1067,8 @@ void VoldemortServer::handleRepairResponse(hlc::Timestamp eventTs, NodeId from,
   updateMemoryModel();
 }
 
-void VoldemortServer::handleProgressRequest(NodeId from,
+void VoldemortServer::handleProgressRequest(hlc::Timestamp /*eventTs*/,
+                                            NodeId from,
                                             ProgressRequestBody body) {
   ProgressReplyBody reply;
   reply.snapshotId = body.snapshotId;
@@ -1171,7 +1089,8 @@ void VoldemortServer::handleProgressRequest(NodeId from,
 // Temporal queries (streaming replay over the window-log)
 // ---------------------------------------------------------------------------
 
-void VoldemortServer::handleQueryRequest(NodeId from, QueryRequestBody body) {
+void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
+                                         NodeId from, QueryRequestBody body) {
   ++queriesServed_;
   QueryReplyBody reply;
   reply.queryId = body.queryId;
@@ -1356,7 +1275,8 @@ void VoldemortServer::pushViewTo(NodeId peer) {
   send(peer, kGossip, [&](ByteWriter& w) { body.writeTo(w); });
 }
 
-void VoldemortServer::handleGossip(NodeId /*from*/, GossipBody body) {
+void VoldemortServer::handleGossip(hlc::Timestamp /*eventTs*/,
+                                   NodeId /*from*/, GossipBody body) {
   if (!membershipEnabled() || !membershipStarted_ || left_) return;
   const uint64_t before = view_.epoch();
   if (view_.merge(body.view, id_)) {
@@ -1368,7 +1288,8 @@ void VoldemortServer::handleGossip(NodeId /*from*/, GossipBody body) {
   }
 }
 
-void VoldemortServer::handleJoinRequest(NodeId from, JoinRequestBody body) {
+void VoldemortServer::handleJoinRequest(hlc::Timestamp /*eventTs*/,
+                                        NodeId from, JoinRequestBody body) {
   if (!membershipEnabled() || !membershipStarted_ || left_ || joining_) return;
   const auto status = view_.statusOf(body.node);
   if (status && *status == MemberStatus::kLeft) return;  // terminal
@@ -1382,7 +1303,8 @@ void VoldemortServer::handleJoinRequest(NodeId from, JoinRequestBody body) {
   send(from, kJoinResponse, [&](ByteWriter& w) { resp.writeTo(w); });
 }
 
-void VoldemortServer::handleJoinResponse(NodeId /*from*/,
+void VoldemortServer::handleJoinResponse(hlc::Timestamp /*eventTs*/,
+                                         NodeId /*from*/,
                                          JoinResponseBody body) {
   if (!membershipEnabled() || !joining_ || left_) return;
   view_.merge(body.view, id_);
@@ -1649,7 +1571,8 @@ void VoldemortServer::abortTransfer(uint64_t transferId) {
   if (drain) finishLeaveDrain();
 }
 
-void VoldemortServer::handleTransferAck(NodeId /*from*/, TransferAckBody body) {
+void VoldemortServer::handleTransferAck(hlc::Timestamp /*eventTs*/,
+                                        NodeId /*from*/, TransferAckBody body) {
   auto it = outbound_.find(body.transferId);
   if (it == outbound_.end()) return;
   OutboundTransfer& t = it->second;

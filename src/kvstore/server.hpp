@@ -265,6 +265,9 @@ class VoldemortServer {
   uint64_t duplicateSnapshotRequests() const {
     return duplicateSnapshotRequests_;
   }
+  /// Received messages dropped undelivered: truncated, trailing bytes,
+  /// a count the payload cannot hold, or a type this node does not serve.
+  uint64_t malformedMessages() const { return malformedMessages_; }
 
   /// Running totals over every window-log diff computed for snapshots on
   /// this node, and the number of diff calls folded in (bench/metrics
@@ -313,13 +316,33 @@ class VoldemortServer {
     uint8_t stage = 0;  // 0 copy, 1 compaction, 2 application, 3 done
   };
 
+  /// A request handler: runs on the executor with the receive event's
+  /// HLC time, the sender and the decoded body.
+  template <typename Body>
+  using Handler = void (VoldemortServer::*)(hlc::Timestamp eventTs,
+                                            NodeId from, Body body);
+
   void onMessage(sim::Message&& msg);
+  /// The receive path every served type shares: decode-or-reject, then
+  /// queue `handler` on the executor behind `cost` (micros, or a
+  /// function of the body).  The task checks the incarnation, ticks the
+  /// HLC and records the receive in the trace before it handles.
+  template <typename Body, typename Cost>
+  void serve(const sim::Message& msg, Cost cost, Handler<Body> handler);
+  /// Modelled put cost, read at receive time: service time, plus the
+  /// window-log append and its GC coupling while the log is on.
+  TimeMicros putMicros() const;
+
   void handlePut(hlc::Timestamp eventTs, NodeId from, PutRequestBody body);
-  void handleGet(NodeId from, GetRequestBody body);
-  void handleSnapshotRequest(NodeId from, SnapshotRequestBody body);
-  void handleQueryRequest(NodeId from, QueryRequestBody body);
-  void handleProgressRequest(NodeId from, ProgressRequestBody body);
-  void handleRepairRequest(NodeId from, RepairRequestBody body);
+  void handleGet(hlc::Timestamp eventTs, NodeId from, GetRequestBody body);
+  void handleSnapshotRequest(hlc::Timestamp eventTs, NodeId from,
+                             SnapshotRequestBody body);
+  void handleQueryRequest(hlc::Timestamp eventTs, NodeId from,
+                          QueryRequestBody body);
+  void handleProgressRequest(hlc::Timestamp eventTs, NodeId from,
+                             ProgressRequestBody body);
+  void handleRepairRequest(hlc::Timestamp eventTs, NodeId from,
+                           RepairRequestBody body);
   void handleRepairResponse(hlc::Timestamp eventTs, NodeId from,
                             RepairResponseBody body);
 
@@ -376,12 +399,15 @@ class VoldemortServer {
   /// React to any change of the local view: re-derive the routing ring,
   /// push the view to the admin, start owed transfers, optionally gossip.
   void onViewChanged(bool gossip);
-  void handleGossip(NodeId from, GossipBody body);
-  void handleJoinRequest(NodeId from, JoinRequestBody body);
-  void handleJoinResponse(NodeId from, JoinResponseBody body);
+  void handleGossip(hlc::Timestamp eventTs, NodeId from, GossipBody body);
+  void handleJoinRequest(hlc::Timestamp eventTs, NodeId from,
+                         JoinRequestBody body);
+  void handleJoinResponse(hlc::Timestamp eventTs, NodeId from,
+                          JoinResponseBody body);
   void handleTransferChunk(hlc::Timestamp eventTs, NodeId from,
                            TransferChunkBody body);
-  void handleTransferAck(NodeId from, TransferAckBody body);
+  void handleTransferAck(hlc::Timestamp eventTs, NodeId from,
+                         TransferAckBody body);
   void maybeStartOutboundTransfers();
   /// Chunk the keys `target` inherits (per `targetRing`) into a stream.
   void startTransferTo(NodeId target, const Ring& targetRing, bool drain);
@@ -494,6 +520,7 @@ class VoldemortServer {
   uint64_t snapshotsConverted_ = 0;
   uint64_t recoveries_ = 0;
   uint64_t duplicateSnapshotRequests_ = 0;
+  uint64_t malformedMessages_ = 0;
   log::DiffStats diffTotals_;
   uint64_t diffCalls_ = 0;
 };

@@ -82,7 +82,7 @@ void VersionVector::writeTo(ByteWriter& w) const {
 
 VersionVector VersionVector::readFrom(ByteReader& r) {
   VersionVector v;
-  const uint64_t n = r.readVarU64();
+  const uint64_t n = r.readCount(4 + 1);  // u32 writer, varint counter
   v.entries_.reserve(n);
   for (uint64_t k = 0; k < n; ++k) {
     const uint32_t writer = r.readU32();

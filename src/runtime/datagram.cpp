@@ -75,8 +75,7 @@ std::optional<Datagram> decodeDatagram(std::string_view bytes) {
       d.chunk.assign(frame.payload.substr(frame.payload.size() -
                                           r.remaining()));
     } else {
-      const uint64_t count = r.readVarU64();
-      if (count > r.remaining() / 8) return std::nullopt;  // length lies
+      const uint64_t count = r.readCount(8);
       d.ackedSeqs.reserve(count);
       for (uint64_t i = 0; i < count; ++i) d.ackedSeqs.push_back(r.readU64());
       if (!r.atEnd()) return std::nullopt;

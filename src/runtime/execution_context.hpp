@@ -15,10 +15,7 @@
 // code safe under real threads): every callback belonging to node N —
 // its message handler, and any timer armed with owner == N — is invoked
 // on N's worker thread.  A node that never shares state outside its
-// callbacks is a correct realtime node with zero locking.  Nodes
-// registered with more than one worker (RealtimeContext::setWorkers)
-// opt out of this contract and must be internally thread-safe (see
-// ConcurrentWindowStore for the sharded data plane built for that).
+// callbacks is a correct realtime node with zero locking.
 #pragma once
 
 #include <functional>

@@ -9,8 +9,8 @@ namespace {
 constexpr auto kGreater = std::greater<>{};
 }  // namespace
 
-RealtimeContext::RealtimeContext(RealtimeConfig config)
-    : config_(config), base_(std::chrono::steady_clock::now()) {}
+RealtimeContext::RealtimeContext()
+    : base_(std::chrono::steady_clock::now()) {}
 
 RealtimeContext::~RealtimeContext() { stop(); }
 
@@ -52,13 +52,6 @@ void RealtimeContext::registerNode(NodeId node, Handler handler) {
   if (!rec) rec = std::make_unique<Node>();
   rec->handler = std::move(handler);
   rec->connected = true;
-}
-
-void RealtimeContext::setWorkers(NodeId node, size_t k) {
-  assert(!started_ && "setWorkers before start()");
-  auto& rec = nodes_[node];
-  if (!rec) rec = std::make_unique<Node>();
-  rec->workers = k == 0 ? 1 : k;
 }
 
 void RealtimeContext::disconnect(NodeId node) {
@@ -129,9 +122,7 @@ void RealtimeContext::start() {
   started_ = true;
   for (auto& [id, rec] : nodes_) {
     (void)id;
-    for (size_t w = 0; w < rec->workers; ++w) {
-      rec->threads.emplace_back([this, node = rec.get()] { workerLoop(*node); });
-    }
+    rec->thread = std::thread([this, node = rec.get()] { workerLoop(*node); });
   }
 }
 
@@ -140,14 +131,15 @@ void RealtimeContext::stop() {
   stop_.store(true, std::memory_order_release);
   for (auto& [id, rec] : nodes_) {
     (void)id;
+    // A worker reads stop_ under its node's lock before it parks; taking
+    // that lock here means the notify cannot fall between the read and
+    // the wait and be lost, which left an idle worker parked forever.
+    { std::lock_guard lk(rec->mu); }
     rec->cv.notify_all();
   }
   for (auto& [id, rec] : nodes_) {
     (void)id;
-    for (auto& t : rec->threads) {
-      if (t.joinable()) t.join();
-    }
-    rec->threads.clear();
+    if (rec->thread.joinable()) rec->thread.join();
   }
   joined_ = true;
 }
@@ -167,8 +159,7 @@ void RealtimeContext::workerLoop(Node& node) {
           due.push_back(std::move(node.timers.back().fn));
           node.timers.pop_back();
         }
-        const size_t take =
-            std::min(node.inbox.size(), config_.drainBatchLimit);
+        const size_t take = std::min(node.inbox.size(), kDrainBatchLimit);
         for (size_t i = 0; i < take; ++i) {
           batch.push_back(std::move(node.inbox.front()));
           node.inbox.pop_front();

@@ -9,16 +9,14 @@
 //   * Timers: a per-node min-heap serviced by the node's worker between
 //     drains; condition-variable waits are bounded by the next deadline.
 //   * Time: microseconds on the host steady clock since construction.
-//   * Thread model: exactly one worker per node by default, so node
-//     state keeps the single-thread confinement the protocol code was
-//     written under.  setWorkers(node, k > 1) opts a node into a worker
-//     pool sharing its channel (its handler must then be thread-safe —
-//     the sharded ConcurrentWindowStore data plane exists for this).
+//   * Thread model: exactly one worker thread per node, so node state
+//     keeps the single-thread confinement the protocol code was written
+//     under.
 //
-// Lifecycle: construct -> registerNode()/setWorkers()/send() freely ->
-// start() spawns workers -> ... -> stop() joins everything.  New-node
-// registration happens strictly before any thread exists, so node setup
-// needs no locking; messages sent before start() are delivered after it.
+// Lifecycle: construct -> registerNode()/send() freely -> start() spawns
+// workers -> ... -> stop() joins everything.  New-node registration
+// happens strictly before any thread exists, so node setup needs no
+// locking; messages sent before start() are delivered after it.
 // After start(), registerNode() may be called again for an *existing*
 // node only — crash/restart recovery swapping in the next incarnation's
 // handler (the node map itself is immutable once threads exist; the
@@ -39,16 +37,13 @@
 
 namespace retro::runtime {
 
-struct RealtimeConfig {
-  /// Maximum messages taken per drain.  The whole inbox is swapped out
-  /// under one lock hold; this bounds how long a node runs handlers
-  /// before it re-checks timers.
-  size_t drainBatchLimit = 128;
-};
-
 class RealtimeContext final : public ExecutionContext {
  public:
-  explicit RealtimeContext(RealtimeConfig config = {});
+  /// Maximum messages taken per drain: bounds how long a node runs
+  /// handlers before it re-checks its timers.
+  static constexpr size_t kDrainBatchLimit = 128;
+
+  RealtimeContext();
   ~RealtimeContext() override;
 
   RealtimeContext(const RealtimeContext&) = delete;
@@ -71,11 +66,7 @@ class RealtimeContext final : public ExecutionContext {
 
   // --- realtime lifecycle ---
 
-  /// Worker threads for `node` (default 1).  Must be called before
-  /// start(); k > 1 requires a thread-safe handler.
-  void setWorkers(NodeId node, size_t k);
-
-  /// Spawn every node's workers.  Must be called exactly once; nodes
+  /// Spawn every node's worker.  Must be called exactly once; nodes
   /// registered earlier begin draining immediately.
   void start();
   bool started() const { return started_; }
@@ -113,16 +104,14 @@ class RealtimeContext final : public ExecutionContext {
     std::vector<Timer> timers;  // min-heap via std::push_heap/greater
     Handler handler;
     bool connected = true;
-    size_t workers = 1;
     uint64_t timerSeq = 0;
-    std::vector<std::thread> threads;
+    std::thread thread;
   };
 
   Node* find(NodeId node);
   const Node* find(NodeId node) const;
   void workerLoop(Node& node);
 
-  RealtimeConfig config_;
   std::chrono::steady_clock::time_point base_;
   std::map<NodeId, std::unique_ptr<Node>> nodes_;
   bool started_ = false;

@@ -300,6 +300,20 @@ FuzzResult runKvScenario(const Scenario& s) {
     }
   }
 
+  // --- receive paths: the decode-or-reject check drops no legitimate
+  // message (every node's malformed counter stays at zero) ---
+  uint64_t malformed = cluster.admin().malformedMessages();
+  for (size_t i = 0; i < cluster.serverCount(); ++i) {
+    malformed += cluster.server(i).malformedMessages();
+  }
+  for (size_t i = 0; i < cluster.clientCount(); ++i) {
+    malformed += cluster.client(i).malformedMessages();
+  }
+  if (malformed > 0) {
+    result.report.fail(std::to_string(malformed) +
+                       " protocol messages rejected as malformed");
+  }
+
   // --- fault-tolerance accounting ---
   for (const auto& f : s.faults) {
     if (f.kind == FaultKind::kCrashRestart) ++result.crashesInjected;

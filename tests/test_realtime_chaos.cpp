@@ -190,9 +190,9 @@ void runChaosSeed(uint64_t seed, TransportKind transport,
   cfg.faultPlane.duplicateProbability = 0.05;
   cfg.faultPlane.reorderProbability = 0.10;
   cfg.faultPlane.reorderDelayMaxMicros = 5'000;
-  // Detection-only ε bound: the chaos run keeps the detectors hot (TSan
-  // coverage of the atomic counters); the parity *assertions* live in
-  // test_atomic_hlc's skew-episode property tests.
+  // Detection-only ε bound: the chaos run keeps the detectors running on
+  // real threads; the detection *assertions* live in test_hlc_clock
+  // (EpsilonViolationDetection) and test_fuzz_clock_anomalies.
   cfg.epsilonMillis = 4 * kMaxSkewMillis + 4;
   hardenConfigs(cfg);
   cfg.transport = transport;
