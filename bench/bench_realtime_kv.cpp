@@ -54,9 +54,6 @@ SweepPoint runDegradedSweep(double dropProbability, int64_t opsPerClient) {
   cfg.servers = 3;
   cfg.clients = kClients;
   cfg.seed = 42;
-  cfg.server.putServiceMicros = 0;
-  cfg.server.getServiceMicros = 0;
-  cfg.server.logAppendMicros = 0;
   cfg.client.replicas = 2;
   cfg.client.requiredWrites = 1;  // degrade gracefully: first ack wins
   cfg.client.opTimeoutMicros = 10'000;

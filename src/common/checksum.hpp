@@ -1,8 +1,8 @@
 // CRC32C (Castagnoli) checksums and the framed-record helpers shared by
-// every durable format: BDB segment records, WAL journal frames,
-// checkpoint images and snapshot_io archives.  One implementation so a
-// record written by any layer can be verified by any other, and so the
-// corruption fuzz oracle has a single definition of "intact".
+// every durable format: BDB segment records, WAL journal frames and
+// checkpoint images.  One implementation so a record written by any
+// layer can be verified by any other, and so the corruption fuzz oracle
+// has a single definition of "intact".
 #pragma once
 
 #include <cstdint>

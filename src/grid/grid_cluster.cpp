@@ -10,9 +10,8 @@ GridCluster::GridCluster(GridConfig config)
   clocks_ = std::make_unique<sim::ClockFleet>(env_, config_.clocks, totalNodes);
   network_ = std::make_unique<sim::Network>(env_, config_.network);
   ctx_ = std::make_unique<sim::SimContext>(env_, *network_);
-  table_ = std::make_unique<PartitionTable>(config_.members,
-                                            config_.partitions,
-                                            config_.backups);
+  table_ = std::make_unique<PartitionTable>(config_.members, kPartitions,
+                                            kBackups);
 
   for (size_t i = 0; i < config_.members; ++i) {
     members_.push_back(std::make_unique<GridMember>(

@@ -19,8 +19,6 @@ namespace retro::grid {
 struct GridConfig {
   size_t members = 3;
   size_t clients = 10;
-  size_t partitions = 271;
-  size_t backups = 1;
   uint64_t seed = 1;
   MemberConfig member;
   sim::NetworkConfig network;
@@ -30,6 +28,10 @@ struct GridConfig {
 
 class GridCluster {
  public:
+  /// Hazelcast's default partition count, each with one backup copy.
+  static constexpr size_t kPartitions = 271;
+  static constexpr size_t kBackups = 1;
+
   explicit GridCluster(GridConfig config);
 
   sim::SimEnv& env() { return env_; }

@@ -2,15 +2,21 @@
 
 #include <cmath>
 
-#include "runtime/retry.hpp"
-
 namespace retro::grid {
 
 namespace {
-// Modelled CPU per received control message, before the HLC add-on.
+// Modelled CPU per received message, before the HLC add-on.
 constexpr TimeMicros kHeartbeatMicros = 5;
 constexpr TimeMicros kSnapshotStartMicros = 200;
 constexpr TimeMicros kSnapshotAckMicros = 20;
+constexpr TimeMicros kBackupApplyMicros = 40;
+/// CPU per message for HLC wrap/unwrap bookkeeping (JVM-calibrated:
+/// parse + tick + re-serialize inside the RPC layer).
+constexpr TimeMicros kHlcCpuMicros = 22;
+/// Window-log per-entry overhead bytes.
+constexpr size_t kLogOverheadBytes = 152;
+/// Heartbeat broadcast period.
+constexpr TimeMicros kHeartbeatPeriodMicros = kMicrosPerSecond;
 }  // namespace
 
 GridMember::GridMember(NodeId id, runtime::ExecutionContext& ctx,
@@ -27,7 +33,7 @@ GridMember::GridMember(NodeId id, runtime::ExecutionContext& ctx,
                       .maxEntries = 0,
                       .maxBytes = 0,  // set per-partition below
                       .maxAgeMillis = 0,
-                      .perEntryOverheadBytes = config.logOverheadBytes,
+                      .perEntryOverheadBytes = kLogOverheadBytes,
                   }),
       idAlloc_(id + 1000) {
   // Pre-create owned partitions and their window-logs, splitting the
@@ -97,7 +103,7 @@ void GridMember::serve(const sim::Message& msg, TimeMicros cost,
     ++malformedMessages_;
     return;
   }
-  if (hlcOn) cost += config_.hlcCpuMicros;
+  if (hlcOn) cost += kHlcCpuMicros;
   executor_.submit(cost, [this, hlcOn, from = msg.from, msgId = msg.msgId,
                           handler,
                           received = std::move(*received)]() mutable {
@@ -118,7 +124,7 @@ void GridMember::onMessage(sim::Message&& msg) {
       return serve(msg, config_.putServiceMicros + logMicros, &G::handlePut);
     case kMapGet: return serve(msg, config_.getServiceMicros, &G::handleGet);
     case kBackupReplicate:
-      return serve(msg, config_.backupApplyMicros, &G::handleBackup);
+      return serve(msg, kBackupApplyMicros, &G::handleBackup);
     // Health monitoring also goes through the HLC-injecting RPC layer.
     case kHeartbeat: return serve(msg, kHeartbeatMicros, &G::handleHeartbeat);
     case kSnapshotStart:
@@ -215,7 +221,7 @@ void GridMember::heartbeatTick() {
     });
   }
   ++heartbeatSeq_;
-  ctx_->scheduleDaemon(id_, config_.heartbeatPeriodMicros,
+  ctx_->scheduleDaemon(id_, kHeartbeatPeriodMicros,
                        [this] { heartbeatTick(); });
 }
 
@@ -286,23 +292,7 @@ void GridMember::onStartTimeout(core::SnapshotId id, NodeId member,
     return;
   }
   if (it->second.attempts < config_.snapshotMaxAttempts) {
-    // Capped backoff before the re-send (shared runtime/retry.hpp
-    // policy); base == 0 keeps the legacy immediate-at-timeout resend.
-    const TimeMicros backoff = runtime::cappedBackoffDelay(
-        config_.snapshotRetryBackoffBaseMicros,
-        config_.snapshotRetryBackoffCapMicros, config_.snapshotRetryJitter,
-        it->second.attempts,
-        runtime::retryJitterKey(id, member, it->second.attempts));
-    if (backoff > 0) {
-      const uint64_t gen = ++it->second.generation;
-      ctx_->schedule(id_, backoff, [this, id, member, gen] {
-        auto jt = pendingStarts_.find({id, member});
-        if (jt == pendingStarts_.end() || jt->second.generation != gen) return;
-        sendSnapshotStart(id, member);
-      });
-    } else {
-      sendSnapshotStart(id, member);
-    }
+    sendSnapshotStart(id, member);  // re-send at the timeout itself
     return;
   }
   pendingStarts_.erase(it);

@@ -41,10 +41,6 @@ struct MemberConfig {
   // --- request costs ---
   TimeMicros putServiceMicros = 150;
   TimeMicros getServiceMicros = 100;
-  TimeMicros backupApplyMicros = 40;
-  /// CPU per message for HLC wrap/unwrap bookkeeping (JVM-calibrated:
-  /// parse + tick + re-serialize inside the RPC layer).
-  TimeMicros hlcCpuMicros = 22;
   /// CPU per put for the window-log append (allocation + copy of old
   /// and new values into the log).
   TimeMicros logAppendMicros = 25;
@@ -62,10 +58,7 @@ struct MemberConfig {
   /// partition logs it owns (the paper's "bounded by a user-specified
   /// maximum size", 2 GB in §VI).
   uint64_t logBudgetBytes = 2ull << 30;
-  /// Window-log per-entry overhead constants.
-  size_t logOverheadBytes = 152;
 
-  TimeMicros heartbeatPeriodMicros = kMicrosPerSecond;
   sim::DiskConfig disk{.readMBps = 200, .writeMBps = 160, .seekMicros = 100};
 
   // --- snapshot-collection fault tolerance (initiator side) ---
@@ -74,13 +67,8 @@ struct MemberConfig {
   TimeMicros snapshotRequestTimeoutMicros = 0;
   /// Total kSnapshotStart transmissions per member before the initiator
   /// marks it unavailable (kTimedOut) and settles for a partial snapshot.
+  /// A timed-out start is re-sent at once.
   uint32_t snapshotMaxAttempts = 3;
-  /// Capped exponential backoff (runtime/retry.hpp) inserted between a
-  /// start-request timeout and the resend; base == 0 re-sends at the
-  /// timeout itself (legacy fixed-interval behavior).
-  TimeMicros snapshotRetryBackoffBaseMicros = 0;
-  TimeMicros snapshotRetryBackoffCapMicros = 800'000;
-  double snapshotRetryJitter = 0.2;
 };
 
 class GridMember {

@@ -6,6 +6,11 @@
 
 namespace retro::kv {
 
+namespace {
+/// Deterministic jitter fraction added on top of each backoff [0..1).
+constexpr double kRetryJitter = 0.2;
+}  // namespace
+
 AdminClient::AdminClient(NodeId id, runtime::ExecutionContext& ctx,
                          hlc::PhysicalClock& clock, std::vector<NodeId> servers,
                          AdminConfig config, const Ring* ring)
@@ -191,13 +196,6 @@ void AdminClient::advanceToFallback(core::SnapshotId id, NodeId participant) {
   auto sess = sessions_.find(id);
   if (sess == sessions_.end() || sess->second.isDone()) return;
   Attempt& a = it->second;
-  if (a.budget.deadlineExceeded(ctx_->now())) {
-    // The participant's total collection deadline is spent: resolve now
-    // instead of burning one send per remaining fallback candidate.
-    counters_.add("retry.deadline_exceeded");
-    resolveFailure(id, participant);
-    return;
-  }
   // Only replicas that already completed their own local snapshot can
   // vouch for this participant's key range (the cached ack they re-send
   // covers the same target time); skip the rest.
@@ -210,9 +208,8 @@ void AdminClient::advanceToFallback(core::SnapshotId id, NodeId participant) {
         *p->status == core::LocalSnapshotStatus::kComplete &&
         p->reason == core::FailureReason::kNone) {
       a.target = candidate;
-      // Fresh attempt budget on the new target; the total deadline keeps
-      // running from the original start.  The jitter key deliberately
-      // stays on the participant (historical derivation).
+      // Fresh attempt budget on the new target.  The jitter key
+      // deliberately stays on the participant (historical derivation).
       a.budget.retarget(participant);
       ++a.generation;
       counters_.add("snapshot.fallback_attempts");
@@ -242,8 +239,7 @@ runtime::RetryPolicy AdminClient::collectionPolicy() const {
   policy.maxAttempts = config_.maxAttemptsPerNode;
   policy.backoffBaseMicros = config_.retryBackoffBaseMicros;
   policy.backoffCapMicros = config_.retryBackoffCapMicros;
-  policy.jitter = config_.retryJitter;
-  policy.totalDeadlineMicros = config_.collectionDeadlineMicros;
+  policy.jitter = kRetryJitter;
   return policy;
 }
 
@@ -404,7 +400,7 @@ void AdminClient::sendQueryRequest(uint64_t queryId, NodeId server) {
       config_.queryRetryTimeoutMicros +
       runtime::cappedBackoffDelay(
           config_.retryBackoffBaseMicros, config_.retryBackoffCapMicros,
-          config_.retryJitter, sends,
+          kRetryJitter, sends,
           runtime::retryJitterKey(queryId, server, sends));
   ctx_->schedule(id_, delay, [this, queryId, server, sends] {
     auto jt = querySessions_.find(queryId);

@@ -49,13 +49,6 @@ struct AdminConfig {
   /// Capped exponential backoff between attempts: base * 2^(n-1).
   TimeMicros retryBackoffBaseMicros = 50'000;
   TimeMicros retryBackoffCapMicros = 800'000;
-  /// Deterministic jitter fraction added on top of each backoff [0..1).
-  double retryJitter = 0.2;
-  /// Total elapsed budget for one participant's collection, spanning the
-  /// primary target AND its replica fallbacks (0 = unbounded, the legacy
-  /// behavior).  When it passes, the participant resolves as failed
-  /// immediately — a fallback chain must not multiply the worst case.
-  TimeMicros collectionDeadlineMicros = 0;
   /// Ring successors to try as replicas when a node cannot answer
   /// (crashed for good, or its window-log no longer reaches the target).
   size_t replicaFallbacks = 2;
@@ -146,7 +139,7 @@ class AdminClient {
   /// "snapshot.timeouts", "snapshot.target_down",
   /// "snapshot.fallback_attempts", "snapshot.replica_fallbacks",
   /// "snapshot.exhausted"; plus the shared retry-loop accounting
-  /// "retry.attempts", "retry.exhausted", "retry.deadline_exceeded".
+  /// "retry.attempts", "retry.exhausted".
   const Counters& counters() const { return counters_; }
 
   /// Attach a causality trace (fuzz harness); null disables recording.
@@ -168,7 +161,7 @@ class AdminClient {
   /// its attempts are exhausted — successive replicas off the ring.
   struct Attempt {
     NodeId target = 0;
-    /// Attempt budget + total deadline for the current target (shared
+    /// Attempt budget for the current target (shared
     /// runtime::RetryBudget; jitter stays keyed on the participant, so
     /// the seeded timings predate the migration byte-for-byte).
     runtime::RetryBudget budget;

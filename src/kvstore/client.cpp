@@ -23,7 +23,9 @@ void VoldemortClient::put(const Key& key, Value value, PutCallback done) {
 
   // Client-side versioning: bump our slot on the last version we saw for
   // this key so replicas can order replayed/raced writes.
-  if (versionCache_.size() > config_.versionCacheCap) versionCache_.clear();
+  // Cap on the per-key version cache (cleared when exceeded).
+  constexpr size_t kVersionCacheCap = 200'000;
+  if (versionCache_.size() > kVersionCacheCap) versionCache_.clear();
   VersionVector& version = versionCache_[key];
   version.increment(id_);
 
@@ -100,10 +102,10 @@ void VoldemortClient::armTimeout(uint64_t reqId) {
       const uint32_t attempt = ++it->second.retriesUsed;
       // Capped backoff before the re-send (shared runtime/retry.hpp
       // policy); base == 0 keeps the legacy immediate re-send.
+      constexpr double kRetryJitter = 0.2;  // deterministic jitter fraction
       const TimeMicros backoff = runtime::cappedBackoffDelay(
           config_.retryBackoffBaseMicros, config_.retryBackoffCapMicros,
-          config_.retryJitter, attempt,
-          runtime::retryJitterKey(reqId, id_, attempt));
+          kRetryJitter, attempt, runtime::retryJitterKey(reqId, id_, attempt));
       if (backoff > 0) {
         ctx_->schedule(id_, backoff, [this, reqId] {
           auto jt = pending_.find(reqId);

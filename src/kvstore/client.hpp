@@ -38,9 +38,6 @@ struct ClientConfig {
   /// base == 0 re-sends immediately at the timeout (legacy behavior).
   TimeMicros retryBackoffBaseMicros = 0;
   TimeMicros retryBackoffCapMicros = 400'000;
-  double retryJitter = 0.2;
-  /// Cap on the client's per-key version cache (cleared when exceeded).
-  size_t versionCacheCap = 200'000;
   /// Virtual nodes per member when re-deriving the ring from a gossiped
   /// membership view; must match the servers' value.
   size_t ringVirtualNodes = 64;

@@ -34,29 +34,6 @@ namespace retro::kv {
 /// daemons, static ring).
 struct MembershipConfig {
   bool enabled = false;
-  /// Heartbeat + anti-entropy gossip period.
-  TimeMicros gossipPeriodMicros = 150'000;
-  /// Random peers contacted per gossip round.
-  size_t gossipFanout = 2;
-  /// Heartbeat silence before a peer is marked kSuspect / confirmed
-  /// kDead.  Suspicion is epidemic: a heartbeat relayed via any third
-  /// party resets the timer, so only genuine unreachability confirms.
-  TimeMicros suspectAfterMicros = 600'000;
-  TimeMicros confirmAfterMicros = 1'200'000;
-  /// Keys per transfer chunk (stop-and-wait stream).
-  size_t transferChunkKeys = 32;
-  /// Retransmission backoff (capped exponential) and attempt bound per
-  /// chunk; an exhausted chunk aborts the whole stream.
-  TimeMicros transferRetryBaseMicros = 60'000;
-  TimeMicros transferRetryCapMicros = 500'000;
-  /// Deterministic jitter fraction on the chunk retransmission backoff
-  /// (runtime/retry.hpp); 0 keeps the historical un-jittered timing.
-  double transferRetryJitter = 0;
-  uint32_t maxChunkAttempts = 5;
-  /// A joiner activates anyway after this long, abandoning sources that
-  /// never finished (their history floor is lost: kRebalancing refusals
-  /// below the activation point).
-  TimeMicros joinTimeoutMicros = 2'500'000;
   /// Hand per-key window-log history off with each transfer so the new
   /// owner can answer diffToPast below the transfer point.  Disabling
   /// this (ablation/testing) forces the kRebalancing refusal path.

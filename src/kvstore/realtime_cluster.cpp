@@ -23,10 +23,12 @@ RealtimeKvCluster::RealtimeKvCluster(RealtimeClusterConfig config)
                                        static_cast<uint64_t>(span)) -
                   config_.maxSkewMillis;
   }
+  // Shared HLC epoch base so physical components are nonzero.
+  constexpr int64_t kEpochBaseMillis = 1'000'000;
   clocks_.reserve(totalNodes);
   for (size_t i = 0; i < totalNodes; ++i) {
     clocks_.push_back(std::make_unique<runtime::RealtimePhysicalClock>(
-        ctx_, config_.epochBaseMillis, offsets_[i]));
+        ctx_, kEpochBaseMillis, offsets_[i]));
   }
 
   if (config_.transport == TransportKind::kUdpLoopback) {

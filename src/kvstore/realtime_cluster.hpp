@@ -39,8 +39,6 @@ struct RealtimeClusterConfig {
   size_t clients = 4;
   uint64_t seed = 1;
   size_t ringVirtualNodes = 64;
-  /// Shared HLC epoch base so physical components are nonzero.
-  int64_t epochBaseMillis = 1'000'000;
   /// Fixed per-node skew drawn deterministically from `seed` within
   /// +/- this bound (the realtime stand-in for the NTP skew model).
   int64_t maxSkewMillis = 2;

@@ -16,6 +16,9 @@ sim::StorageFaultConfig nodeFaultConfig(sim::StorageFaultConfig cfg,
   cfg.seed ^= 0x9e3779b97f4a7c15ULL * (static_cast<uint64_t>(id) + 1);
   return cfg;
 }
+
+/// How often the checkpoint daemon folds the journal tail.
+constexpr TimeMicros kCheckpointPeriodMicros = 2 * kMicrosPerSecond;
 }  // namespace
 
 VoldemortServer::VoldemortServer(NodeId id, runtime::ExecutionContext& ctx,
@@ -38,13 +41,12 @@ VoldemortServer::VoldemortServer(NodeId id, runtime::ExecutionContext& ctx,
   memory_.setOnOutOfMemory([this] { crash(); });
   ctx_->registerNode(id_, [this](sim::Message&& m) { onMessage(std::move(m)); });
   if (config_.archive.enabled) {
-    archive_ = std::make_unique<log::LogArchive>(
-        log::ArchiveConfig{.maxBytes = config_.archive.maxBytes});
+    archive_ = std::make_unique<log::LogArchive>();
     ctx_->scheduleDaemon(id_, config_.archive.periodMicros,
                          [this] { archiveTick(); });
   }
   if (config_.recovery.persistWindowLog) {
-    ctx_->scheduleDaemon(id_, config_.recovery.checkpointPeriodMicros,
+    ctx_->scheduleDaemon(id_, kCheckpointPeriodMicros,
                          [this] { checkpointTick(); });
   }
 }
@@ -88,7 +90,7 @@ void VoldemortServer::checkpointTick() {
       if (wal_) wal_->foldIntoCheckpoint();
     }
   }
-  ctx_->scheduleDaemon(id_, config_.recovery.checkpointPeriodMicros,
+  ctx_->scheduleDaemon(id_, kCheckpointPeriodMicros,
                        [this] { checkpointTick(); });
 }
 
@@ -146,11 +148,13 @@ void VoldemortServer::restart(std::function<void()> done) {
   uint64_t logBytes = 0;
   TimeMicros replayCpu = 0;
   if (config_.recovery.persistWindowLog) {
+    // CPU per journal-tail entry replayed at restart.
+    constexpr double kReplayMicrosPerEntry = 1.5;
     logBytes = retroscope_.getLog(kStoreLog).accountedBytes();
     const uint64_t tail =
         retroscope_.appendCount() - lastCheckpointAppendCount_;
     replayCpu = static_cast<TimeMicros>(std::llround(
-        static_cast<double>(tail) * config_.recovery.replayMicrosPerEntry));
+        static_cast<double>(tail) * kReplayMicrosPerEntry));
   }
   // Recovery cost 3: verifying the CRC32C of every record and journal
   // frame read back (hardware CRC runs at GB/s — cheap, not free).
@@ -161,7 +165,7 @@ void VoldemortServer::restart(std::function<void()> done) {
   }
   disk_->read(segmentBytes + logBytes, [this, inc, replayCpu,
                                         done = std::move(done)]() mutable {
-    ctx_->schedule(id_, replayCpu, [this, inc, done = std::move(done)] {
+    executor_.submit(replayCpu, [this, inc, done = std::move(done)] {
       if (alive_ || incarnation_ != inc) return;  // crashed again meanwhile
       recoverStorage();
       // Never issue a timestamp below one issued before the crash, even
@@ -260,7 +264,8 @@ void VoldemortServer::serve(const sim::Message& msg, Cost cost,
 }
 
 namespace {
-// Modelled CPU per received request (simulator cost model).
+// Modelled CPU per received request, charged by the executor under the
+// simulator only.
 constexpr TimeMicros kSnapshotRequestMicros = 500;
 constexpr TimeMicros kQueryRequestMicros = 300;
 constexpr TimeMicros kRepairMicros = 200;  // request and response
@@ -481,9 +486,11 @@ void VoldemortServer::handleSnapshotRequest(hlc::Timestamp /*eventTs*/,
   // incremental snapshot against it, skipping the data-copy stage.
   if (body.request.kind == core::SnapshotKind::kFull &&
       config_.convertConcurrentSnapshots && !activeSnapshots_.empty()) {
+    // How close (HLC millis) a base must be for conversion.
+    constexpr int64_t kConversionWindowMillis = 60'000;
     const auto& running = activeSnapshots_.begin()->second;
     if (std::llabs(running.request.target.l - body.request.target.l) <=
-        config_.conversionWindowMillis) {
+        kConversionWindowMillis) {
       active.request.kind = core::SnapshotKind::kIncremental;
       active.request.baseId = running.request.id;
       ++snapshotsConverted_;
@@ -639,16 +646,16 @@ void VoldemortServer::snapshotCompaction(core::SnapshotId id) {
 
   // Charge the compaction CPU: the entries the diff engine actually
   // materialized, the index/key-chain probes it spent finding them
-  // (much cheaper per unit), plus the slower decode of any archived
-  // entries.  Then move to the application stage; archived history is
-  // paged in from disk first.
+  // (much cheaper per unit), plus the slower read of any archived
+  // entries (decode + page-in).  Then move to the application stage;
+  // archived history is paged in from disk first.
+  constexpr double kArchivedEntryReadMicros = 3.0;
   const auto cost = static_cast<TimeMicros>(std::llround(
       static_cast<double>(stats.entriesTraversed) *
           config_.compactionMicrosPerEntry +
       static_cast<double>(stats.indexSeeks + stats.keysExamined) *
           config_.indexProbeMicros +
-      static_cast<double>(archivedEntries) *
-          config_.archive.archivedEntryReadMicros));
+      static_cast<double>(archivedEntries) * kArchivedEntryReadMicros));
   auto proceed = [this, id, cost, diff = std::move(diff).value(),
                   stats]() mutable {
     executor_.submit(cost,
@@ -903,6 +910,12 @@ void VoldemortServer::startScrub() {
 }
 
 void VoldemortServer::scrubStep() {
+  // Request rounds before the scrub pauses (quarantined keys keep
+  // refusing snapshots, the safe state) and retries after
+  // kRepairRetryMicros; each round waits kRepairTimeoutMicros for replies.
+  constexpr size_t kRepairMaxRounds = 6;
+  constexpr TimeMicros kRepairTimeoutMicros = 300'000;
+  constexpr TimeMicros kRepairRetryMicros = 2 * kMicrosPerSecond;
   if (!alive_) {
     scrubActive_ = false;
     return;
@@ -911,14 +924,14 @@ void VoldemortServer::scrubStep() {
     completeScrub();
     return;
   }
-  if (scrubRound_ >= config_.integrity.repairMaxRounds) {
+  if (scrubRound_ >= kRepairMaxRounds) {
     // Give the cluster time to heal (a crashed replica restarting) and
     // retry; quarantined keys keep refusing snapshots meanwhile.  A
     // daemon so an otherwise-quiesced simulation can still terminate.
     scrubActive_ = false;
     storageCounters_.add("storage.repair_rounds_exhausted");
     const uint64_t inc = incarnation_;
-    ctx_->scheduleDaemon(id_, config_.integrity.repairRetryMicros, [this, inc] {
+    ctx_->scheduleDaemon(id_, kRepairRetryMicros, [this, inc] {
       if (alive_ && incarnation_ == inc) startScrub();
     });
     return;
@@ -945,13 +958,12 @@ void VoldemortServer::scrubStep() {
     send(peer, kRepairRequest, [&](ByteWriter& w) { req.writeTo(w); });
   }
   const uint64_t inc = incarnation_;
-  ctx_->schedule(id_, config_.integrity.repairTimeoutMicros,
-                 [this, inc, generation] {
-                   if (alive_ && incarnation_ == inc && scrubActive_ &&
-                       repairGeneration_ == generation) {
-                     scrubStep();
-                   }
-                 });
+  ctx_->schedule(id_, kRepairTimeoutMicros, [this, inc, generation] {
+    if (alive_ && incarnation_ == inc && scrubActive_ &&
+        repairGeneration_ == generation) {
+      scrubStep();
+    }
+  });
 }
 
 void VoldemortServer::completeScrub() {
@@ -1162,6 +1174,14 @@ void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
 // Elastic membership: gossip, join/leave, key-range rebalance
 // ---------------------------------------------------------------------------
 
+namespace {
+/// Heartbeat + anti-entropy gossip period.
+constexpr TimeMicros kGossipPeriodMicros = 150'000;
+/// Retransmission attempt bound per transfer chunk; an exhausted chunk
+/// aborts the whole stream.
+constexpr uint32_t kMaxChunkAttempts = 5;
+}  // namespace
+
 void VoldemortServer::configureMembership(const MembershipView& genesis,
                                           NodeId adminId,
                                           size_t ringVirtualNodes) {
@@ -1178,7 +1198,7 @@ void VoldemortServer::configureMembership(const MembershipView& genesis,
     lastPushedEpoch_ = view_.epoch();
     onViewChanged(/*gossip=*/false);
   }
-  ctx_->scheduleDaemon(id_, config_.membership.gossipPeriodMicros,
+  ctx_->scheduleDaemon(id_, kGossipPeriodMicros,
                        [this] { membershipTick(); });
 }
 
@@ -1199,6 +1219,9 @@ void VoldemortServer::onViewChanged(bool gossip) {
 }
 
 void VoldemortServer::membershipTick() {
+  // Heartbeat silence before a peer is marked kSuspect / confirmed kDead.
+  constexpr TimeMicros kSuspectAfterMicros = 600'000;
+  constexpr TimeMicros kConfirmAfterMicros = 1'200'000;
   if (alive_ && membershipStarted_ && !left_) {
     const TimeMicros localNow = ctx_->now();
     bool changed = false;
@@ -1218,13 +1241,13 @@ void VoldemortServer::membershipTick() {
       // into the routable set half-transferred).
       if (rec.status == MemberStatus::kActive ||
           rec.status == MemberStatus::kLeaving) {
-        if (silent >= config_.membership.suspectAfterMicros) {
+        if (silent >= kSuspectAfterMicros) {
           view_.setStatus(node, MemberStatus::kSuspect);
           membershipCounters_.add("membership.suspects_marked");
           changed = true;
         }
       } else if (rec.status == MemberStatus::kSuspect &&
-                 silent >= config_.membership.confirmAfterMicros) {
+                 silent >= kConfirmAfterMicros) {
         view_.setStatus(node, MemberStatus::kDead);
         membershipCounters_.add("membership.deaths_confirmed");
         changed = true;
@@ -1244,7 +1267,7 @@ void VoldemortServer::membershipTick() {
   // Reschedules even while crashed (the daemon survives a restart);
   // stops for good once the node has left.
   if (!left_) {
-    ctx_->scheduleDaemon(id_, config_.membership.gossipPeriodMicros,
+    ctx_->scheduleDaemon(id_, kGossipPeriodMicros,
                          [this] { membershipTick(); });
   }
 }
@@ -1259,8 +1282,8 @@ void VoldemortServer::gossipNow() {
       candidates.push_back(node);
     }
   }
-  const size_t fanout =
-      std::min(config_.membership.gossipFanout, candidates.size());
+  constexpr size_t kGossipFanout = 2;  // random peers per gossip round
+  const size_t fanout = std::min(kGossipFanout, candidates.size());
   for (size_t i = 0; i < fanout; ++i) {
     const size_t j =
         i + static_cast<size_t>(gossipRng_.next() % (candidates.size() - i));
@@ -1339,8 +1362,12 @@ void VoldemortServer::beginJoin(NodeId seedMember) {
 }
 
 void VoldemortServer::armJoinTimeout() {
+  // A joiner activates anyway after this long, abandoning sources that
+  // never finished (their history floor is lost: kRebalancing refusals
+  // below the activation point).
+  constexpr TimeMicros kJoinTimeoutMicros = 2'500'000;
   const uint64_t inc = incarnation_;
-  ctx_->schedule(id_, config_.membership.joinTimeoutMicros, [this, inc] {
+  ctx_->schedule(id_, kJoinTimeoutMicros, [this, inc] {
     if (!alive_ || incarnation_ != inc || !joining_) return;
     membershipCounters_.add("membership.join_timeouts");
     const bool abandoned =
@@ -1486,17 +1513,16 @@ void VoldemortServer::startTransferTo(NodeId target, const Ring& targetRing,
   t.drain = drain;
   const uint64_t tid =
       (static_cast<uint64_t>(id_) << 32) | ++transferCounter_;
-  const size_t chunkKeys =
-      std::max<size_t>(1, config_.membership.transferChunkKeys);
+  constexpr size_t kChunkKeys = 32;  // keys per stop-and-wait chunk
   const hlc::Timestamp floor =
       config_.windowLogEnabled ? wlog.floor() : hlc::Timestamp{};
-  for (size_t i = 0; i < items.size(); i += chunkKeys) {
+  for (size_t i = 0; i < items.size(); i += kChunkKeys) {
     TransferChunkBody chunk;
     chunk.transferId = tid;
     chunk.source = id_;
     chunk.chunkSeq = t.chunks.size();
     chunk.sourceFloor = floor;
-    const size_t end = std::min(items.size(), i + chunkKeys);
+    const size_t end = std::min(items.size(), i + kChunkKeys);
     chunk.items.assign(std::make_move_iterator(items.begin() + i),
                        std::make_move_iterator(items.begin() + end));
     t.chunks.push_back(std::move(chunk));
@@ -1520,8 +1546,7 @@ void VoldemortServer::sendTransferChunk(uint64_t transferId) {
   if (it == outbound_.end() || !alive_) return;
   OutboundTransfer& t = it->second;
   if (t.nextChunk >= t.chunks.size()) return;
-  if (t.totalSends >= static_cast<uint64_t>(config_.membership.maxChunkAttempts) *
-                          (t.chunks.size() + 2)) {
+  if (t.totalSends >= uint64_t{kMaxChunkAttempts} * (t.chunks.size() + 2)) {
     // Rewind-loop bound: a receiver that keeps losing its progress
     // cannot hold the stream (and a leaving node's drain) open forever.
     abortTransfer(transferId);
@@ -1533,11 +1558,12 @@ void VoldemortServer::sendTransferChunk(uint64_t transferId) {
   const TransferChunkBody& chunk = t.chunks[t.nextChunk];
   send(t.target, kTransferChunk, [&](ByteWriter& w) { chunk.writeTo(w); });
   // Stop-and-wait: arm the retransmission (shared capped exponential
-  // backoff from runtime/retry.hpp; jitter defaults to 0 = legacy).
+  // backoff from runtime/retry.hpp, without jitter).
+  constexpr TimeMicros kRetryBaseMicros = 60'000;
+  constexpr TimeMicros kRetryCapMicros = 500'000;
+  constexpr double kRetryJitter = 0;
   const TimeMicros delay = runtime::cappedBackoffDelay(
-      config_.membership.transferRetryBaseMicros,
-      config_.membership.transferRetryCapMicros,
-      config_.membership.transferRetryJitter, t.attempts,
+      kRetryBaseMicros, kRetryCapMicros, kRetryJitter, t.attempts,
       runtime::retryJitterKey(transferId, t.target, t.attempts));
   const uint64_t gen = ++t.generation;
   const uint64_t inc = incarnation_;
@@ -1551,7 +1577,7 @@ void VoldemortServer::transferChunkTimeout(uint64_t transferId,
                                            uint64_t generation) {
   auto it = outbound_.find(transferId);
   if (it == outbound_.end() || it->second.generation != generation) return;
-  if (it->second.attempts >= config_.membership.maxChunkAttempts) {
+  if (it->second.attempts >= kMaxChunkAttempts) {
     abortTransfer(transferId);
     return;
   }

@@ -8,6 +8,9 @@
 // for a configurable service time; snapshot work (copy CPU, compaction,
 // application) shares the same executor and the same disk as foreground
 // traffic, so the throughput dips of Fig. 12 emerge from contention.
+// The Executor and SimDisk charge this modelled time only under the
+// simulator; on a realtime context every task runs as soon as the node
+// thread reaches it.
 // A synthetic JVM-heap model converts window-log growth into GC slowdown
 // and, past the limit, an OutOfMemory crash (Fig. 13).
 #pragma once
@@ -79,8 +82,6 @@ struct ServerConfig {
   /// Convert an incoming full snapshot to an incremental one when
   /// another snapshot is already executing or recently completed nearby.
   bool convertConcurrentSnapshots = true;
-  /// How close (HLC millis) a base must be for conversion.
-  int64_t conversionWindowMillis = 60'000;
 
   // --- memory model ---
   sim::MemoryModelConfig memory{.heapLimitBytes = 8ull << 30};
@@ -99,11 +100,6 @@ struct ServerConfig {
     TimeMicros periodMicros = 5 * kMicrosPerSecond;
     /// Entries younger than this stay in memory.
     int64_t keepInMemoryMillis = 10'000;
-    /// On-disk budget for archived history (0 = unbounded).
-    uint64_t maxBytes = 0;
-    /// CPU per archived entry when traversing from disk (slower than
-    /// the in-memory walk: decode + page-in).
-    double archivedEntryReadMicros = 3.0;
   };
   ArchiveOptions archive;
 
@@ -115,10 +111,6 @@ struct ServerConfig {
     /// replay.  Off: the window-log restarts empty and the floor rises to
     /// the recovery point — pre-crash targets become out-of-reach.
     bool persistWindowLog = true;
-    /// How often the checkpoint daemon folds the journal tail.
-    TimeMicros checkpointPeriodMicros = 2 * kMicrosPerSecond;
-    /// CPU per journal-tail entry replayed at restart.
-    double replayMicrosPerEntry = 1.5;
   };
   RecoveryOptions recovery;
 
@@ -134,12 +126,6 @@ struct ServerConfig {
     /// on the snapshot copy path and the recovery scan; hardware CRC32C
     /// runs at several GB/s).
     double checksumMicrosPerMB = 150;
-    /// Scrub/anti-entropy: how many request rounds to attempt before
-    /// pausing (quarantined keys keep refusing snapshots — the safe
-    /// state — and the scrub retries after repairRetryMicros).
-    size_t repairMaxRounds = 6;
-    TimeMicros repairTimeoutMicros = 300'000;
-    TimeMicros repairRetryMicros = 2 * kMicrosPerSecond;
   };
   IntegrityOptions integrity;
 

@@ -60,7 +60,8 @@ class ExecutionContext {
   virtual uint64_t send(Message message) = 0;
 
   /// True for runtimes where callbacks of different nodes run
-  /// concurrently on real threads.
+  /// concurrently on real threads.  sim::Executor and sim::SimDisk charge
+  /// modelled CPU and disk time only when this is false.
   virtual bool isRealtime() const = 0;
 
   /// Convenience: run `fn` on `owner`'s thread as soon as possible.

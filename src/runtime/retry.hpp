@@ -1,9 +1,9 @@
 // Shared retry/backoff policy for every RPC wait in the system.
 //
-// Four components grew the same capped-exponential-backoff loop
-// independently (AdminClient collection retries, VoldemortClient op
-// retries, grid Member snapshot-start resends, VoldemortServer transfer
-// streams).  This header is the single implementation they all call:
+// Several components need the same capped-exponential-backoff loop
+// (AdminClient collection and query retries, VoldemortClient op retries,
+// VoldemortServer transfer streams, UdpContext retransmits).  This
+// header is the single implementation they all call:
 //
 //   delay(attempt) = min(base * 2^(attempt-1), cap) * (1 + jitter * u)
 //

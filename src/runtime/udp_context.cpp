@@ -14,6 +14,25 @@
 namespace retro::runtime {
 namespace {
 
+/// Chunk budget per datagram: serialized message bodies larger than
+/// this are fragmented.  Kept under the classic 1500-byte path MTU so
+/// the same framing works off-loopback.
+constexpr size_t kMaxChunkBytes = 1200;
+/// Receiver-side dedup window per link (sequence numbers).
+constexpr size_t kDedupWindow = 1024;
+/// The live sequence span per link is bounded to half the dedup window.
+constexpr size_t kSeqSpanLimit = kDedupWindow / 2;
+/// At most this many unacked datagrams per link; excess traffic waits
+/// in a per-link backlog.
+constexpr size_t kMaxInFlightDatagrams = 256;
+// The flight cap must sit inside the span limit or the backlog could
+// admit a seq the span check should have held back.
+static_assert(kMaxInFlightDatagrams <= kSeqSpanLimit);
+/// Reassembly buffers with no progress for this long are dropped —
+/// with retransmission below, staleness means the sender gave up or
+/// died, and half a message must never be delivered.
+constexpr TimeMicros kReassemblyStaleMicros = 2'000'000;
+
 /// Per-transmission loss-roll key: varies across (from, to, seq,
 /// attempt, kind) so a retransmission rerolls instead of being doomed
 /// to the same fate as the transmission it replaces.
@@ -28,14 +47,7 @@ uint64_t transmissionKey(NodeId from, NodeId to, uint64_t seq,
 }  // namespace
 
 UdpContext::UdpContext(ExecutionContext& inner, UdpConfig config)
-    : inner_(&inner),
-      config_(config),
-      seqSpanLimit_(std::max<size_t>(config.dedupWindow / 2, 1)) {
-  // The flight cap must sit inside the span limit or the backlog could
-  // admit a seq the span check should have held back.
-  config_.maxInFlightDatagrams =
-      std::min(config_.maxInFlightDatagrams, seqSpanLimit_);
-}
+    : inner_(&inner), config_(config) {}
 
 UdpContext::~UdpContext() { stop(); }
 
@@ -179,7 +191,7 @@ uint64_t UdpContext::send(Message message) {
   const NodeId from = message.from;
   const NodeId to = message.to;
   const std::string body = encodeMessageBody(message);
-  const auto chunks = chunkBody(body, config_.maxChunkBytes);
+  const auto chunks = chunkBody(body, kMaxChunkBytes);
   if (chunks.size() > 1) {
     fragmentsSent_.fetch_add(chunks.size(), std::memory_order_relaxed);
   }
@@ -217,20 +229,20 @@ UdpContext::Link& UdpContext::linkLocked(UdpNode& node, NodeId peer) {
   if (it == node.links.end()) {
     it = node.links
              .emplace(std::piecewise_construct, std::forward_as_tuple(peer),
-                      std::forward_as_tuple(config_.dedupWindow,
-                                            config_.reassemblyStaleMicros))
+                      std::forward_as_tuple(kDedupWindow,
+                                            kReassemblyStaleMicros))
              .first;
   }
   return it->second;
 }
 
 bool UdpContext::admitLocked(const Link& link, uint64_t seq) const {
-  if (link.unacked.size() >= config_.maxInFlightDatagrams) return false;
+  if (link.unacked.size() >= kMaxInFlightDatagrams) return false;
   if (link.unacked.empty()) return true;
   // Bound the live sequence span to half the dedup window: a straggler
   // retransmission of the oldest unacked seq must still land inside the
   // receiver's window no matter how far newer traffic has advanced it.
-  return seq - link.unacked.begin()->first < seqSpanLimit_;
+  return seq - link.unacked.begin()->first < kSeqSpanLimit;
 }
 
 void UdpContext::enqueueDatagramLocked(UdpNode& node, Link& link, NodeId peer,

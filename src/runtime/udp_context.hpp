@@ -27,7 +27,7 @@
 //     reported through counters and peer-health suspicion, never looped;
 //   * MTU-bounded fragmentation/reassembly for large payloads (transfer
 //     chunks, view gossip, snapshot replies);
-//   * flow control: per link at most maxInFlightDatagrams are unacked
+//   * flow control: per link at most kMaxInFlightDatagrams are unacked
 //     and the live seq span is bounded to half the dedup window, so a
 //     straggler retransmission can never be mistaken for a duplicate;
 //   * per-peer health: consecutive retransmit exhaustions mark a link
@@ -63,16 +63,6 @@
 namespace retro::runtime {
 
 struct UdpConfig {
-  /// Chunk budget per datagram: serialized message bodies larger than
-  /// this are fragmented.  Kept under the classic 1500-byte path MTU so
-  /// the same framing works off-loopback.
-  size_t maxChunkBytes = 1200;
-  /// Receiver-side dedup window per link (sequence numbers).
-  size_t dedupWindow = 1024;
-  /// At most this many unacked datagrams per link; the live sequence
-  /// span is additionally bounded to dedupWindow / 2.  Excess traffic
-  /// waits in a per-link backlog.
-  size_t maxInFlightDatagrams = 256;
   /// Retransmit schedule per datagram (shared RetryPolicy semantics:
   /// attempt budget + capped backoff + deterministic jitter + total
   /// deadline).  Tuned for loopback RTTs; widen for real networks.
@@ -84,10 +74,6 @@ struct UdpConfig {
   /// Consecutive retransmit exhaustions on a link before its peer is
   /// suspected (degraded single-shot sends until a sign of life).
   uint32_t suspectAfterExhaustions = 3;
-  /// Reassembly buffers with no progress for this long are dropped —
-  /// with retransmission below, staleness means the sender gave up or
-  /// died, and half a message must never be delivered.
-  TimeMicros reassemblyStaleMicros = 2'000'000;
   /// Injected kernel-path loss: every transmission (data and ack) is
   /// dropped before sendto() with this probability, seeded and
   /// per-transmission (retransmits reroll).  The hermetic stand-in for
@@ -245,7 +231,6 @@ class UdpContext final : public ExecutionContext {
 
   ExecutionContext* inner_;
   UdpConfig config_;
-  size_t seqSpanLimit_;
 
   mutable std::mutex nodesMu_;  ///< guards map shape pre-start only
   std::map<NodeId, std::unique_ptr<UdpNode>> nodes_;

@@ -7,9 +7,14 @@ namespace retro::sim {
 
 SimDisk::SimDisk(runtime::ExecutionContext& ctx, DiskConfig config,
                  NodeId owner)
-    : ctx_(&ctx), owner_(owner), config_(config) {}
+    : ctx_(&ctx), owner_(owner), realtime_(ctx.isRealtime()),
+      config_(config) {}
 
 void SimDisk::submit(uint64_t bytes, double mbps, std::function<void()> done) {
+  if (realtime_) {
+    ctx_->post(owner_, std::move(done));
+    return;
+  }
   const double seconds = static_cast<double>(bytes) / (mbps * 1e6);
   const auto transfer =
       static_cast<TimeMicros>(std::llround(seconds * kMicrosPerSecond));

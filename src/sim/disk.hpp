@@ -22,7 +22,9 @@ struct DiskConfig {
 class SimDisk {
  public:
   /// `owner` routes completion callbacks to the owning node's thread
-  /// under the realtime runtime (ignored by the simulator).
+  /// under the realtime runtime (ignored by the simulator).  Seek and
+  /// transfer time are charged only under the simulator: on a realtime
+  /// context every completion is posted at once (bytes still count).
   SimDisk(runtime::ExecutionContext& ctx, DiskConfig config,
           NodeId owner = 0);
 
@@ -53,6 +55,7 @@ class SimDisk {
 
   runtime::ExecutionContext* ctx_;
   NodeId owner_;
+  bool realtime_;
   DiskConfig config_;
   StorageFaultModel* faults_ = nullptr;
   uint64_t readRetries_ = 0;

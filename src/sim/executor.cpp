@@ -6,6 +6,10 @@
 namespace retro::sim {
 
 void Executor::submit(TimeMicros serviceMicros, std::function<void()> task) {
+  if (realtime_) {
+    ctx_->post(owner_, std::move(task));
+    return;
+  }
   const auto scaled = static_cast<TimeMicros>(
       std::llround(static_cast<double>(serviceMicros) * slowdown_));
   const TimeMicros now = ctx_->now();

@@ -17,14 +17,16 @@ namespace retro::sim {
 class Executor {
  public:
   /// `owner` is the node whose execution thread runs submitted tasks
-  /// under the realtime runtime (ignored by the simulator).  Under
-  /// realtime contexts service times model *extra* induced latency on
-  /// top of the real compute; realtime benches set them to zero.
+  /// under the realtime runtime (ignored by the simulator).  The cost
+  /// model applies only under the simulator: on a realtime context the
+  /// real compute is the cost, so service times are not charged.
   explicit Executor(runtime::ExecutionContext& ctx, NodeId owner = 0)
-      : ctx_(&ctx), owner_(owner) {}
+      : ctx_(&ctx), owner_(owner), realtime_(ctx.isRealtime()) {}
 
   /// Run `task` after occupying the CPU for `serviceMicros` (scaled by
-  /// the slowdown factor). Tasks run in submission order.
+  /// the slowdown factor). Tasks run in submission order.  Under a
+  /// realtime context the task is posted to the owner at once, and
+  /// neither busyUntil() nor totalBusyMicros() moves.
   void submit(TimeMicros serviceMicros, std::function<void()> task);
 
   /// Multiplier applied to every service time (>= 1). The memory model
@@ -41,6 +43,7 @@ class Executor {
  private:
   runtime::ExecutionContext* ctx_;
   NodeId owner_;
+  bool realtime_;
   TimeMicros busyUntil_ = 0;
   TimeMicros totalBusy_ = 0;
   double slowdown_ = 1.0;

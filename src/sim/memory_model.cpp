@@ -23,12 +23,11 @@ double MemoryModel::gcSlowdownFactor() const {
   const double u = utilization();
   if (u <= config_.pressureThreshold) return 1.0;
   // Normalize position within (threshold, 1]; cost grows polynomially
-  // and is capped at maxSlowdown.
+  // and is capped at kMaxSlowdown.
   const double span = 1.0 - config_.pressureThreshold;
   const double x = (u - config_.pressureThreshold) / span;
-  const double factor =
-      1.0 + (config_.maxSlowdown - 1.0) * std::pow(x, config_.gcSharpness);
-  return factor > config_.maxSlowdown ? config_.maxSlowdown : factor;
+  const double factor = 1.0 + (kMaxSlowdown - 1.0) * std::pow(x, kGcSharpness);
+  return factor > kMaxSlowdown ? kMaxSlowdown : factor;
 }
 
 }  // namespace retro::sim

@@ -15,15 +15,16 @@ struct MemoryModelConfig {
   uint64_t heapLimitBytes = 2ULL << 30;  ///< the paper's 2 GB
   /// Utilization below which GC cost is negligible.
   double pressureThreshold = 0.65;
-  /// Shape of the GC-cost curve beyond the threshold; larger = sharper
-  /// collapse near the limit.
-  double gcSharpness = 2.0;
-  /// Maximum slowdown before the heap limit is hit.
-  double maxSlowdown = 25.0;
 };
 
 class MemoryModel {
  public:
+  /// Shape of the GC-cost curve beyond the threshold; larger = sharper
+  /// collapse near the limit.
+  static constexpr double kGcSharpness = 2.0;
+  /// Maximum slowdown before the heap limit is hit.
+  static constexpr double kMaxSlowdown = 25.0;
+
   explicit MemoryModel(MemoryModelConfig config = {}) : config_(config) {}
 
   /// Update the live-bytes figure (window-logs + database + fixed

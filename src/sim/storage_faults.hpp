@@ -34,11 +34,6 @@ struct StorageFaultConfig {
   /// P(one recovery read fails transiently) evaluated per disk read
   /// issued during recovery (retry = one extra pass over the bytes).
   double readErrorProbability = 0;
-  /// P(cold-block rot is discovered at a restart), with
-  /// `bitRotFraction` of records affected.  Explicit injections via
-  /// injectBitRot() are additive and used by the fuzz fault kinds.
-  double bitRotProbability = 0;
-  double bitRotFraction = 0.01;
 };
 
 class StorageFaultModel {
@@ -59,6 +54,7 @@ class StorageFaultModel {
   }
   /// Queue one bit-rot episode affecting `fraction` of cold records; it
   /// is consumed (applied to real bytes) at the node's next restart.
+  /// Bit rot happens only through this call (the fuzz fault kinds).
   void injectBitRot(double fraction) { pendingRot_.push_back(fraction); }
 
   // --- decisions (each consumes the model's private RNG stream) ---
@@ -71,15 +67,10 @@ class StorageFaultModel {
   bool transientReadError() {
     return decide(config_.readErrorProbability, stats_.readErrors);
   }
-  /// Bit-rot episodes to apply at this restart: the queued injections
-  /// plus at most one probabilistic episode.
+  /// Bit-rot episodes to apply at this restart: the queued injections.
   std::vector<double> takeRotEpisodes() {
     std::vector<double> out = std::move(pendingRot_);
     pendingRot_.clear();
-    uint64_t ignored = 0;
-    if (decide(config_.bitRotProbability, ignored)) {
-      out.push_back(config_.bitRotFraction);
-    }
     stats_.rotEpisodes += out.size();
     return out;
   }

@@ -18,8 +18,8 @@ BdbStore::BdbStore(runtime::ExecutionContext& ctx, sim::SimDisk& disk,
 }
 
 uint64_t BdbStore::recordBytes(const Key& key, const Value* value) const {
-  return key.size() + (value ? value->size() : 0) +
-         config_.recordOverheadBytes;
+  constexpr size_t kRecordOverheadBytes = 32;  // headers, checksums
+  return key.size() + (value ? value->size() : 0) + kRecordOverheadBytes;
 }
 
 void BdbStore::put(const Key& key, Value value) {

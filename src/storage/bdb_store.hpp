@@ -29,8 +29,6 @@ struct BdbConfig {
   uint64_t segmentMaxBytes = 10ull << 20;
   /// Flush the write buffer when it reaches this many bytes.
   uint64_t writeBufferFlushBytes = 4ull << 20;
-  /// Per-record on-disk overhead (headers, checksums).
-  size_t recordOverheadBytes = 32;
   /// Run the cleaner when dead bytes exceed this fraction of the total.
   double cleanerWakeupDeadFraction = 0.5;
   /// How often the cleaner checks utilization.
@@ -121,8 +119,8 @@ class BdbStore {
 
   std::unordered_map<Key, Value> index_;
   /// CRC32C(key + value) of each live record, written on the put path —
-  /// the per-record checksum of the segment format (the
-  /// recordOverheadBytes already account for its on-disk size).
+  /// the per-record checksum of the segment format (the per-record
+  /// overhead in recordBytes() already accounts for its on-disk size).
   std::unordered_map<Key, uint32_t> recordCrcs_;
   uint64_t liveBytes_ = 0;
   /// Maps key -> bytes of its latest on-disk record, to account dead

@@ -165,11 +165,9 @@ Scenario generateScenario(uint64_t seed, Substrate substrate,
   s.baseDropProbability = envr.nextBool(0.5) ? 0.0 : envr.nextDouble() * 0.05;
 
   // --- fault schedule ---
-  if (opts.faultsEnabled) {
-    const uint64_t count = faults.nextBounded(7);  // 0..6
-    for (uint64_t i = 0; i < count; ++i) {
-      s.faults.push_back(makeFault(faults, s, /*anomalies=*/false));
-    }
+  const uint64_t pooled = faults.nextBounded(7);  // 0..6
+  for (uint64_t i = 0; i < pooled; ++i) {
+    s.faults.push_back(makeFault(faults, s, /*anomalies=*/false));
   }
   if (s.membershipChurn && s.spareServers > 0) {
     // Guarantee at least one join per churn scenario (the pool alone

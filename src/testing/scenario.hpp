@@ -117,8 +117,6 @@ struct Scenario {
 struct ScenarioOptions {
   /// Permit kSkewSpike faults outside the NTP bound (sets clockAnomalies).
   bool clockAnomalies = false;
-  /// Generate drop/latency/partition/stall faults at all.
-  bool faultsEnabled = true;
   /// Add storage-corruption faults to the pool (sets storageFaults).
   bool storageFaults = false;
   /// Enable gossip membership + join/leave churn (sets membershipChurn).

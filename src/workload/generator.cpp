@@ -7,10 +7,11 @@ namespace retro::workload {
 OpGenerator::OpGenerator(const WorkloadConfig& config, Rng rng)
     : config_(config), rng_(rng) {
   switch (config_.distribution) {
-    case KeyDistribution::kZipfian:
-      zipf_ = std::make_unique<ZipfGenerator>(config_.keySpace,
-                                              config_.zipfTheta);
+    case KeyDistribution::kZipfian: {
+      constexpr double kZipfTheta = 0.99;  // YCSB's default skew
+      zipf_ = std::make_unique<ZipfGenerator>(config_.keySpace, kZipfTheta);
       break;
+    }
     case KeyDistribution::kHotspot:
       hotspot_ = std::make_unique<HotspotGenerator>(
           config_.keySpace, config_.hotKeyFraction, config_.hotOpFraction);

@@ -18,7 +18,6 @@ struct WorkloadConfig {
   uint64_t keySpace = 1'000'000;
   size_t valueBytes = 100;
   KeyDistribution distribution = KeyDistribution::kUniform;
-  double zipfTheta = 0.99;
   double hotKeyFraction = 0.2;   ///< hotspot: 20% of keys ...
   double hotOpFraction = 0.8;    ///< ... receive 80% of operations
 };

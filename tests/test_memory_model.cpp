@@ -28,7 +28,7 @@ TEST(MemoryModel, SlowdownGrowsWithPressure) {
   EXPECT_GT(low, 1.0);
   EXPECT_GT(mid, low);
   EXPECT_GT(high, mid);
-  EXPECT_LE(high, cfg.maxSlowdown);
+  EXPECT_LE(high, MemoryModel::kMaxSlowdown);
 }
 
 TEST(MemoryModel, OutOfMemoryAtLimit) {

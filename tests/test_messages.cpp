@@ -34,7 +34,8 @@ TEST(KvMessages, PutRequestRoundTrip) {
 }
 
 TEST(KvMessages, PutResponseRoundTrip) {
-  kv::PutResponseBody b{9, false, true};
+  const kv::PutResponseBody b{
+      .requestId = 9, .ok = false, .conflictDetected = true, .view = {}};
   ByteWriter w;
   b.writeTo(w);
   ByteReader r(w.view());
@@ -526,7 +527,7 @@ TEST(MalformedMessages, GridNodesDropAndCountWithoutStateChange) {
   grid::GridClient& client = cluster.client(0);
   const auto memberState = [&] {
     std::map<uint32_t, std::unordered_map<Key, Value>> state;
-    for (uint32_t p = 0; p < cfg.partitions; ++p) {
+    for (uint32_t p = 0; p < grid::GridCluster::kPartitions; ++p) {
       if (const auto* data = member.partitionData(p)) state[p] = *data;
     }
     return state;

@@ -110,9 +110,6 @@ void hardenConfigs(RealtimeClusterConfig& cfg) {
   cfg.admin.queryTimeoutMicros = 600'000;
   cfg.admin.queryRetryTimeoutMicros = 25'000;
   cfg.admin.queryMaxAttemptsPerNode = 3;
-
-  cfg.server.putServiceMicros = 50;
-  cfg.server.getServiceMicros = 30;
 }
 
 /// UDP reliability layer tuned to the compressed chaos timeline: 5%
@@ -585,8 +582,6 @@ DiffOutcome runLosslessRealtime(const testing::Scenario& sc,
                                 // latency/stalls only, zero probabilities
   cfg.faultPlane.seed = sc.seed;
   cfg.client = losslessClientConfig();
-  cfg.server.putServiceMicros = 50;
-  cfg.server.getServiceMicros = 30;
   cfg.transport = transport;
   if (transport == TransportKind::kUdpLoopback) {
     // Kernel-path datagram loss the reliability layer must fully mask:

@@ -82,7 +82,9 @@ ClientConfig diffClientConfig() {
 
 ServerConfig diffServerConfig() {
   ServerConfig cfg;
-  cfg.putServiceMicros = 50;  // keep realtime wall time per seed small
+  // Light service times for the simulator run; the realtime run charges
+  // no modelled time, so it ignores them.
+  cfg.putServiceMicros = 50;
   cfg.getServiceMicros = 30;
   return cfg;
 }

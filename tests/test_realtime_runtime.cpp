@@ -1,8 +1,9 @@
 // Unit tests for the thread-per-node RealtimeContext: timer ordering,
-// message delivery, batched drains, disconnect semantics, and lifecycle
-// (start/stop idempotence).  All waits draw their
-// budget from RETRO_REALTIME_TIMEOUT_MS via runtime::waitForCondition —
-// no hard-coded sleeps.
+// message delivery, batched drains, disconnect semantics, lifecycle
+// (start/stop idempotence), and the simulator's cost model staying out of
+// realtime runs.  All waits draw their budget from
+// RETRO_REALTIME_TIMEOUT_MS via runtime::waitForCondition — no
+// hard-coded sleeps.
 #include "runtime/realtime_context.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <vector>
 
 #include "runtime/deadline.hpp"
+#include "sim/disk.hpp"
+#include "sim/executor.hpp"
 
 namespace retro::runtime {
 namespace {
@@ -197,6 +200,36 @@ TEST(RealtimeContext, PostRunsOnOwnerThread) {
   ASSERT_TRUE(waitForCondition([&] { return ran.load(); }));
   EXPECT_NE(workerId, std::this_thread::get_id());
   ctx.stop();
+}
+
+// Modelled CPU and disk time belong to the simulator: on a realtime
+// context the Executor and SimDisk post at once and charge nothing.  If
+// they charged, the read below alone would take about 18 minutes.
+TEST(RealtimeContext, ExecutorAndDiskChargeNoModelledTime) {
+  constexpr uint64_t kGiB = 1ull << 30;
+  std::vector<int> order;     // touched only by node 0's thread...
+  std::atomic<int> fired{0};  // ...observed via this atomic
+  RealtimeContext ctx;
+  ctx.registerNode(0, [](Message&&) {});
+  sim::Executor executor(ctx, 0);
+  sim::SimDisk disk(ctx, {.readMBps = 1, .seekMicros = 100'000}, 0);
+  ctx.start();
+  ctx.post(0, [&] {
+    for (int i = 0; i < 3; ++i) {
+      executor.submit(50'000, [&order, &fired, i] {
+        order.push_back(i);
+        fired.fetch_add(1);
+      });
+    }
+    disk.read(kGiB, [&] { fired.fetch_add(1); });
+  });
+  ASSERT_TRUE(waitForCondition([&] { return fired.load() == 4; }));
+  ctx.stop();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(executor.totalBusyMicros(), 0);
+  EXPECT_EQ(executor.busyUntil(), 0);
+  EXPECT_EQ(disk.busyUntil(), 0);
+  EXPECT_EQ(disk.bytesRead(), kGiB);
 }
 
 }  // namespace
