@@ -1,89 +1,10 @@
 #include "core/temporal_query.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace retro::core {
 
 namespace {
-
-/// Exact-integer running aggregate over the currently-matching entries.
-/// A histogram of numeric values keeps MIN/MAX correct when the extreme
-/// entry is deleted; sums wrap in two's complement, so add/remove in any
-/// order reproduces a full scan bit-identically.
-class RunningAggregate {
- public:
-  explicit RunningAggregate(const SnapshotQuery& query) : query_(query) {}
-
-  void seed(const std::unordered_map<Key, Value>& state) {
-    for (const auto& [key, value] : state) add(key, value);
-  }
-
-  void add(const Key& key, const Value& value) {
-    if (!query_.matches(key, value)) return;
-    ++matched_;
-    if (const auto n = SnapshotQuery::parseNumeric(value)) {
-      ++numericCount_;
-      sumBits_ += static_cast<uint64_t>(*n);
-      ++histogram_[*n];
-    }
-  }
-
-  void remove(const Key& key, const Value& value) {
-    if (!query_.matches(key, value)) return;
-    --matched_;
-    if (const auto n = SnapshotQuery::parseNumeric(value)) {
-      --numericCount_;
-      sumBits_ -= static_cast<uint64_t>(*n);
-      const auto it = histogram_.find(*n);
-      if (--it->second == 0) histogram_.erase(it);
-    }
-  }
-
-  PartialAggregate snapshot() const {
-    PartialAggregate p;
-    p.matched = matched_;
-    p.numericCount = numericCount_;
-    p.sumBits = sumBits_;
-    if (!histogram_.empty()) {
-      p.minValue = histogram_.begin()->first;
-      p.maxValue = histogram_.rbegin()->first;
-    }
-    return p;
-  }
-
- private:
-  const SnapshotQuery& query_;
-  uint64_t matched_ = 0;
-  uint64_t numericCount_ = 0;
-  uint64_t sumBits_ = 0;
-  std::map<int64_t, uint64_t> histogram_;  // value -> matching entries
-};
-
-/// Apply one compacted diff to the state and the running aggregate.
-void applyDiff(const log::DiffMap& diff,
-               std::unordered_map<Key, Value>& state, RunningAggregate& agg,
-               ReplayStats* stats) {
-  if (stats) {
-    stats->replayedKeys += diff.size();
-    stats->replayedBytes += diff.dataBytes();
-  }
-  for (const auto& [key, target] : diff.entries()) {
-    const auto it = state.find(key);
-    if (it != state.end()) {
-      agg.remove(key, it->second);
-      if (target) {
-        agg.add(key, *target);
-        it->second = *target;
-      } else {
-        state.erase(it);
-      }
-    } else if (target) {
-      agg.add(key, *target);
-      state.emplace(key, *target);
-    }
-  }
-}
 
 Status validateSpec(const TemporalSpec& spec) {
   if (spec.to < spec.from) {
@@ -118,54 +39,136 @@ std::vector<hlc::Timestamp> temporalGrid(const TemporalSpec& spec) {
   return grid;
 }
 
-Result<std::vector<TemporalStep>> evalPartials(
-    const SnapshotQuery& query, const TemporalSpec& spec,
-    const std::unordered_map<Key, Value>& currentState,
-    const log::WindowLog& log, ReplayStats* stats) {
-  if (Status s = validateSpec(spec); !s.isOk()) return s;
-  if (!log.covers(spec.from)) {
+PartialsEvaluator::PartialsEvaluator(SnapshotQuery query, TemporalSpec spec)
+    : query_(std::move(query)), spec_(spec) {}
+
+Status PartialsEvaluator::check(const log::WindowLog& log) const {
+  if (Status s = validateSpec(spec_); !s.isOk()) return s;
+  if (!log.covers(spec_.from)) {
     // Structured refusal, never silent truncation: the caller learns the
     // earliest reachable time and can re-issue a narrower query.
     return Status(StatusCode::kOutOfRange,
-                  "interval start " + spec.from.toString() +
+                  "interval start " + spec_.from.toString() +
                       " precedes the retained window floor " +
                       log.floor().toString());
   }
+  return Status::ok();
+}
 
-  const std::vector<hlc::Timestamp> grid = temporalGrid(spec);
-  const hlc::Timestamp base = spec.rolling ? grid.back() : grid.front();
+void PartialsEvaluator::fold(const Key& key, const Value& value) {
+  ++folded_;
+  add(key, value);
+}
 
-  // The single full-state materialization of the whole evaluation.
-  std::unordered_map<Key, Value> state = currentState;
+void PartialsEvaluator::reset() {
+  folded_ = 0;
+  matched_ = 0;
+  numericCount_ = 0;
+  sumBits_ = 0;
+  histogram_.clear();
+}
+
+void PartialsEvaluator::add(const Key& key, const Value& value) {
+  if (!query_.matches(key, value)) return;
+  ++matched_;
+  if (const auto n = SnapshotQuery::parseNumeric(value)) {
+    ++numericCount_;
+    sumBits_ += static_cast<uint64_t>(*n);
+    ++histogram_[*n];
+  }
+}
+
+void PartialsEvaluator::remove(const Key& key, const Value& value) {
+  if (!query_.matches(key, value)) return;
+  --matched_;
+  if (const auto n = SnapshotQuery::parseNumeric(value)) {
+    --numericCount_;
+    sumBits_ -= static_cast<uint64_t>(*n);
+    const auto it = histogram_.find(*n);
+    if (--it->second == 0) histogram_.erase(it);
+  }
+}
+
+PartialAggregate PartialsEvaluator::partial() const {
+  PartialAggregate p;
+  p.matched = matched_;
+  p.numericCount = numericCount_;
+  p.sumBits = sumBits_;
+  if (!histogram_.empty()) {
+    p.minValue = histogram_.begin()->first;
+    p.maxValue = histogram_.rbegin()->first;
+  }
+  return p;
+}
+
+Result<std::vector<TemporalStep>> PartialsEvaluator::finish(
+    const log::WindowLog& log, hlc::Timestamp t0,
+    const std::function<const Value*(const Key&)>& valueAtT0,
+    ReplayStats* stats) {
+  if (Status s = check(log); !s.isOk()) return s;
+  const std::vector<hlc::Timestamp> grid = temporalGrid(spec_);
+  // No history after T0 is read: later grid points see the state at T0.
+  const auto upToT0 = [t0](hlc::Timestamp t) { return std::min(t, t0); };
+
+  // Keys a diff touched, with their value at the current grid point.
+  std::unordered_map<Key, OptValue> overlay;
+  // Moves each key of `diff` to its target; returns the change in the
+  // number of keys present.
+  const auto apply = [&](const log::DiffMap& diff) {
+    int64_t keyDelta = 0;
+    for (const auto& [key, target] : diff.entries()) {
+      auto [it, fresh] = overlay.try_emplace(key);
+      const Value* value =
+          fresh ? valueAtT0(key) : (it->second ? &*it->second : nullptr);
+      if (value != nullptr) {
+        remove(key, *value);
+        --keyDelta;
+      }
+      if (target) {
+        add(key, *target);
+        ++keyDelta;
+      }
+      it->second = target;
+    }
+    return keyDelta;
+  };
+  const auto step = [&](Result<log::DiffMap> diff,
+                        const log::DiffStats& ds) -> Status {
+    if (!diff.isOk()) return diff.status();
+    if (stats) {
+      ++stats->diffCalls;
+      stats->diffTotals.accumulate(ds);
+      stats->replayedKeys += diff.value().size();
+      stats->replayedBytes += diff.value().dataBytes();
+    }
+    apply(diff.value());
+    return Status::ok();
+  };
+
+  const hlc::Timestamp base = spec_.rolling ? grid.back() : grid.front();
   log::DiffStats baseStats;
-  auto toBase = log.diffToPast(base, &baseStats);
+  auto toBase = log.diffBackward(t0, upToT0(base), &baseStats);
   if (!toBase.isOk()) return toBase.status();
-  toBase.value().applyTo(state);
+  overlay.reserve(toBase.value().size());
+  const int64_t baseKeys =
+      static_cast<int64_t>(folded_) + apply(toBase.value());
   if (stats) {
     ++stats->diffCalls;
     stats->diffTotals.accumulate(baseStats);
-    stats->baseStateKeys += state.size();
+    stats->baseStateKeys += static_cast<size_t>(baseKeys);
     stats->steps += grid.size();
   }
 
-  RunningAggregate agg(query);
-  agg.seed(state);
-
   std::vector<TemporalStep> series;
   series.reserve(grid.size());
-  series.push_back({base, agg.snapshot()});
+  series.push_back({base, partial()});
 
-  if (!spec.rolling) {
+  if (!spec_.rolling) {
     for (size_t i = 1; i < grid.size(); ++i) {
       log::DiffStats ds;
-      auto diff = log.diffForward(grid[i - 1], grid[i], &ds);
-      if (!diff.isOk()) return diff.status();
-      if (stats) {
-        ++stats->diffCalls;
-        stats->diffTotals.accumulate(ds);
-      }
-      applyDiff(diff.value(), state, agg, stats);
-      series.push_back({grid[i], agg.snapshot()});
+      auto diff = log.diffForward(upToT0(grid[i - 1]), upToT0(grid[i]), &ds);
+      if (Status s = step(std::move(diff), ds); !s.isOk()) return s;
+      series.push_back({grid[i], partial()});
     }
     return series;
   }
@@ -174,17 +177,28 @@ Result<std::vector<TemporalStep>> evalPartials(
   // rolling-snapshot machinery), then flip the series forward.
   for (size_t i = grid.size() - 1; i-- > 0;) {
     log::DiffStats ds;
-    auto diff = log.diffBackward(grid[i + 1], grid[i], &ds);
-    if (!diff.isOk()) return diff.status();
-    if (stats) {
-      ++stats->diffCalls;
-      stats->diffTotals.accumulate(ds);
-    }
-    applyDiff(diff.value(), state, agg, stats);
-    series.push_back({grid[i], agg.snapshot()});
+    auto diff = log.diffBackward(upToT0(grid[i + 1]), upToT0(grid[i]), &ds);
+    if (Status s = step(std::move(diff), ds); !s.isOk()) return s;
+    series.push_back({grid[i], partial()});
   }
   std::reverse(series.begin(), series.end());
   return series;
+}
+
+Result<std::vector<TemporalStep>> evalPartials(
+    const SnapshotQuery& query, const TemporalSpec& spec,
+    const std::unordered_map<Key, Value>& currentState,
+    const log::WindowLog& log, ReplayStats* stats) {
+  PartialsEvaluator eval(query, spec);
+  if (Status s = eval.check(log); !s.isOk()) return s;
+  for (const auto& [key, value] : currentState) eval.fold(key, value);
+  return eval.finish(
+      log, log.latest(),
+      [&](const Key& key) -> const Value* {
+        const auto it = currentState.find(key);
+        return it == currentState.end() ? nullptr : &it->second;
+      },
+      stats);
 }
 
 Result<TemporalQueryResult> combinePartials(

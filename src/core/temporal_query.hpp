@@ -1,22 +1,25 @@
 // Streaming temporal query engine (ROADMAP item 5; paper §VIII "SQL-like
 // querying" + the RepCl replay-clock execution model): evaluate a query's
 // aggregate over EVERY consistent state in an HLC interval [T1, T2] at a
-// fixed step, materializing the state only once.
+// fixed step, without materializing the state.
 //
-// Execution model (forward scan):
+// Execution model (forward scan), never copying the state:
 //
-//   1. roll the node's current state back to T1 with one
-//      WindowLog::diffToPast call (the only full-state materialization);
-//   2. seed a running exact-integer aggregate with one scan of that base
-//      state;
+//   1. fold every entry of the node's state at some instant T0 into a
+//      running exact-integer aggregate (a server folds its store one
+//      chunk per task through a storage view, so puts run in between);
+//   2. roll the aggregate back to T1 with one diffBackward(T0, T1): each
+//      key the diff touches moves to an overlay that holds its value at
+//      the current grid point; every other key keeps its value at T0;
 //   3. for each subsequent grid point t_i, fetch the compacted per-key
 //      diff over (t_{i-1}, t_i] via diffForward and apply it to BOTH the
-//      state and the running aggregate — per-step cost is bounded by the
-//      diff size, never the state size.
+//      overlay and the running aggregate — per-step cost is bounded by
+//      the diff size, never the state size.
 //
+// Grid points after T0 see the state at T0 (no later history is read).
 // The ROLLING scan direction reuses the fig. 15 rolling-snapshot
-// machinery instead: materialize once at the LAST grid point and roll
-// backward via diffBackward, then reverse the series; the result is
+// machinery instead: roll back to the LAST grid point and on backward
+// via diffBackward, then reverse the series; the result is
 // bit-identical to the forward scan (pinned by tests).
 //
 // A running aggregate keeps a multiset (histogram) of the numeric values
@@ -31,6 +34,8 @@
 // WHEN verdict.  States never travel.
 #pragma once
 
+#include <functional>
+#include <map>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -48,8 +53,8 @@ namespace retro::core {
 /// assert replayedKeys tracks the write rate, not the store size.
 struct ReplayStats {
   size_t steps = 0;           ///< grid points evaluated
-  size_t baseStateKeys = 0;   ///< keys in the one materialized base state
-  size_t diffCalls = 0;       ///< diffToPast + per-step diff calls
+  size_t baseStateKeys = 0;   ///< keys in the state at the base grid point
+  size_t diffCalls = 0;       ///< the base diff + per-step diff calls
   size_t replayedKeys = 0;    ///< per-key diff entries applied across steps
   size_t replayedBytes = 0;   ///< payload bytes of those diffs
   log::DiffStats diffTotals;  ///< accumulated underlying diff-engine stats
@@ -78,12 +83,52 @@ struct TemporalStep {
 /// overflow-safe: the grid ends rather than wrapping.
 std::vector<hlc::Timestamp> temporalGrid(const TemporalSpec& spec);
 
-/// Node-side streaming evaluation: per-grid-point partial aggregates of
-/// `query`'s WHERE clause over this node's state history.  `currentState`
-/// must be the live state the log's newest entries lead to (the server's
-/// backing store).  Fails with kOutOfRange (structured, names the floor)
-/// when T1 precedes the retained window — never silently truncates — and
-/// with kInvalidArgument for an inverted interval or non-positive step.
+/// Incremental node-side evaluation: fold() each entry of the state at
+/// T0 exactly once, in any order and over any number of calls, then
+/// finish() against the window-log.
+class PartialsEvaluator {
+ public:
+  PartialsEvaluator(SnapshotQuery query, TemporalSpec spec);
+
+  /// kInvalidArgument for an inverted interval or non-positive step;
+  /// kOutOfRange (structured, names the floor) when T1 precedes the
+  /// retained window — never silently truncates.
+  Status check(const log::WindowLog& log) const;
+
+  void fold(const Key& key, const Value& value);
+  /// Forget everything folded (the reader started over).
+  void reset();
+
+  /// Per-grid-point partial aggregates.  `valueAtT0` answers a key's value
+  /// at T0 (null if it had none); `log` must hold every change up to T0.
+  /// Runs check() again: the window may have slid since the fold began.
+  /// Consumes the fold: reset() before folding again.
+  Result<std::vector<TemporalStep>> finish(
+      const log::WindowLog& log, hlc::Timestamp t0,
+      const std::function<const Value*(const Key&)>& valueAtT0,
+      ReplayStats* stats = nullptr);
+
+ private:
+  void add(const Key& key, const Value& value);
+  void remove(const Key& key, const Value& value);
+  PartialAggregate partial() const;
+
+  SnapshotQuery query_;
+  TemporalSpec spec_;
+  size_t folded_ = 0;
+  // Exact-integer running aggregate over the currently-matching entries.
+  // A histogram of numeric values keeps MIN/MAX correct when the extreme
+  // entry is deleted; sums wrap in two's complement, so add/remove in any
+  // order reproduces a full scan bit-identically.
+  uint64_t matched_ = 0;
+  uint64_t numericCount_ = 0;
+  uint64_t sumBits_ = 0;
+  std::map<int64_t, uint64_t> histogram_;  // value -> matching entries
+};
+
+/// Node-side streaming evaluation over a plain map: the evaluator above
+/// with T0 = the log's newest entry.  `currentState` must be the live
+/// state the log's newest entries lead to.
 Result<std::vector<TemporalStep>> evalPartials(
     const SnapshotQuery& query, const TemporalSpec& spec,
     const std::unordered_map<Key, Value>& currentState,

@@ -112,6 +112,7 @@ void VoldemortServer::crash() {
   // retries re-request them after recovery (idempotently).
   activeSnapshots_.clear();
   pendingOnBase_.clear();
+  activeQueries_.clear();
   // Rebalance streams die too.  Outbound ones restart from chunk 0 after
   // recovery (applications are idempotent); losing the inbound progress
   // map makes this receiver ack "next expected = 0", rewinding senders.
@@ -510,16 +511,20 @@ void VoldemortServer::startSnapshot(ActiveSnapshot active) {
   active.captureTime = retroscope_.now();
 
   if (active.request.kind == core::SnapshotKind::kFull) {
-    active.stateAtCapture = bdb_->data();  // what the closed segments hold
+    // Data-copy stage: the hot backup's disk copy of the closed segments
+    // beside a copy of the state at captureTime, read through a view one
+    // chunk per executor task so foreground work runs in between.
+    active.view = bdb_->openView();
+    // With the store's bucket count, keys arriving in bucket order fill
+    // the copy's buckets in order too.
+    active.stateAtCapture.rehash(bdb_->data().bucket_count());
+    active.copyPartsLeft = 2;
     if (captureObserver_) captureObserver_(id);
     activeSnapshots_.emplace(id, std::move(active));
-    // Data-copy stage: disk copy of the closed segments plus the CPU it
-    // costs, both contending with foreground work.
-    uint64_t cpuBytes = bdb_->liveDataBytes();
-    bdb_->hotBackup([this, id](uint64_t bytesCopied) {
-      snapshotDataCopyDone(id, bytesCopied);
+    bdb_->hotBackup([this, id, inc = incarnation_](uint64_t /*bytesCopied*/) {
+      if (incarnation_ == inc) copyPartDone(id);
     });
-    chargeCopyCpu(cpuBytes, [] {});
+    copyChunk(id);
   } else {
     // Rolling/incremental: no data copy (Fig. 8's key saving).  If the
     // base snapshot is itself still executing (concurrent-snapshot
@@ -534,43 +539,48 @@ void VoldemortServer::startSnapshot(ActiveSnapshot active) {
   }
 }
 
-void VoldemortServer::chargeCopyCpu(uint64_t bytes, std::function<void()> done) {
-  const uint64_t chunk = config_.copyChunkBytes;
+void VoldemortServer::copyChunk(core::SnapshotId id) {
+  auto it = activeSnapshots_.find(id);
+  if (it == activeSnapshots_.end()) return;
+  ActiveSnapshot& active = it->second;
+  uint64_t bytes = 0;
+  const auto copy = [&](const Key& key, const Value& value) {
+    bytes += key.size() + value.size();
+    active.stateAtCapture.try_emplace(key, value);
+  };
+  store::BdbStore::ViewRead read;
+  while ((read = active.view.read(config_.copyChunkBytes, copy)) ==
+         store::BdbStore::ViewRead::kRestarted) {
+    active.stateAtCapture.clear();
+  }
+  if (read == store::BdbStore::ViewRead::kClosed) {
+    // The store was reopened from a snapshot under the copy.
+    finishSnapshot(id, core::LocalSnapshotStatus::kFailed, 0);
+    return;
+  }
   // Checksumming the copied pages rides on the same per-byte CPU charge.
   const double microsPerByte =
       (config_.copyCpuMicrosPerMB +
        (config_.integrity.checksums ? config_.integrity.checksumMicrosPerMB
                                     : 0)) /
       1e6;
-  // Submit one executor task per chunk so foreground requests interleave
-  // between chunks instead of stalling behind one giant task.
-  auto state = std::make_shared<uint64_t>(bytes);
-  auto submit = std::make_shared<std::function<void()>>();
-  // The continuation holds only a weak self-reference; each pending
-  // executor task holds the strong one.  A strong self-capture would be
-  // a shared_ptr cycle that outlives the copy (leak).
-  std::weak_ptr<std::function<void()>> weakSubmit = submit;
-  *submit = [this, state, chunk, microsPerByte, weakSubmit,
-             done = std::move(done)]() mutable {
-    if (*state == 0) {
-      done();
-      return;
+  const auto cost = static_cast<TimeMicros>(
+      std::llround(static_cast<double>(bytes) * microsPerByte));
+  const bool done = read == store::BdbStore::ViewRead::kDone;
+  executor_.submit(cost, [this, id, done, inc = incarnation_] {
+    if (incarnation_ != inc) return;
+    if (done) {
+      copyPartDone(id);
+    } else {
+      copyChunk(id);
     }
-    const uint64_t thisChunk = std::min(*state, chunk);
-    *state -= thisChunk;
-    executor_.submit(
-        static_cast<TimeMicros>(std::llround(
-            static_cast<double>(thisChunk) * microsPerByte)),
-        [strong = weakSubmit.lock()] { (*strong)(); });
-  };
-  (*submit)();
+  });
 }
 
-void VoldemortServer::snapshotDataCopyDone(core::SnapshotId id,
-                                           uint64_t /*bytesCopied*/) {
+void VoldemortServer::copyPartDone(core::SnapshotId id) {
   auto it = activeSnapshots_.find(id);
-  if (it == activeSnapshots_.end()) return;
-  it->second.stage = 1;
+  if (it == activeSnapshots_.end() || --it->second.copyPartsLeft > 0) return;
+  it->second.view.close();
   snapshotCompaction(id);
 }
 
@@ -699,6 +709,7 @@ void VoldemortServer::snapshotApply(core::SnapshotId id, log::DiffMap diff,
       case core::SnapshotKind::kFull:
         snap.state = std::move(act.stateAtCapture);
         diff.applyTo(snap.state);
+        for (const Key& key : act.graftedSinceCapture) snap.state.erase(key);
         // On disk: the copied database files plus the applied changes.
         snap.persistedBytes = bdb_->liveDataBytes() + diskBytes;
         persisted = snap.persistedBytes;
@@ -1101,13 +1112,12 @@ void VoldemortServer::handleProgressRequest(hlc::Timestamp /*eventTs*/,
 // Temporal queries (streaming replay over the window-log)
 // ---------------------------------------------------------------------------
 
-void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
-                                         NodeId from, QueryRequestBody body) {
+void VoldemortServer::handleQueryRequest(hlc::Timestamp eventTs, NodeId from,
+                                         QueryRequestBody body) {
   ++queriesServed_;
-  QueryReplyBody reply;
-  reply.queryId = body.queryId;
-
   const auto refuse = [&](StatusCode code, std::string reason) {
+    QueryReplyBody reply;
+    reply.queryId = body.queryId;
     reply.statusCode = code;
     reply.reason = std::move(reason);
     send(from, kQueryReply, [&](ByteWriter& w) { reply.writeTo(w); });
@@ -1134,13 +1144,75 @@ void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
            "query has no OVER clause; temporal evaluation requires one");
     return;
   }
+  core::PartialsEvaluator eval(query, *query.temporal());
+  if (Status s = eval.check(retroscope_.getLog(kStoreLog)); !s.isOk()) {
+    refuse(s.code(), s.message());
+    return;
+  }
 
-  const log::WindowLog& wlog = retroscope_.getLog(kStoreLog);
+  // Fold the store as of this event one chunk per task, so foreground
+  // work runs in between, then replay the grid in one more task.
+  const uint64_t key = queriesServed_;
+  ActiveQuery& q =
+      activeQueries_.try_emplace(key, from, body.queryId, std::move(eval))
+          .first->second;
+  openQueryView(q, eventTs);
+  foldQueryChunk(key);
+}
+
+void VoldemortServer::openQueryView(ActiveQuery& q, hlc::Timestamp t0) {
+  q.view = bdb_->openView();
+  q.t0 = t0;
+  q.grafts = historyGrafts_;
+  q.eval.reset();
+}
+
+void VoldemortServer::foldQueryChunk(uint64_t key) {
+  auto it = activeQueries_.find(key);
+  if (it == activeQueries_.end()) return;
+  ActiveQuery& q = it->second;
+  if (q.grafts != historyGrafts_ || !q.view.isOpen()) {
+    // A graft added history before t0 that the fold never saw, or the
+    // store was reopened: start over from now.
+    openQueryView(q, retroscope_.now());
+  }
+  const auto fold = [&q](const Key& k, const Value& v) { q.eval.fold(k, v); };
+  store::BdbStore::ViewRead read;
+  while ((read = q.view.read(config_.copyChunkBytes, fold)) ==
+         store::BdbStore::ViewRead::kRestarted) {
+    q.eval.reset();
+  }
+  const bool done = read == store::BdbStore::ViewRead::kDone;
+  executor_.submit(0, [this, key, done, inc = incarnation_] {
+    if (incarnation_ != inc) return;
+    if (done) {
+      finishQuery(key);
+    } else {
+      foldQueryChunk(key);
+    }
+  });
+}
+
+void VoldemortServer::finishQuery(uint64_t key) {
+  auto it = activeQueries_.find(key);
+  if (it == activeQueries_.end()) return;
+  ActiveQuery& q = it->second;
+  if (q.grafts != historyGrafts_ || !q.view.isOpen()) {
+    foldQueryChunk(key);  // starts over
+    return;
+  }
   core::ReplayStats stats;
-  auto steps = core::evalPartials(query, *query.temporal(), bdb_->data(),
-                                  wlog, &stats);
+  auto steps = q.eval.finish(
+      retroscope_.getLog(kStoreLog), q.t0,
+      [&q](const Key& k) { return q.view.valueAtOpen(k); }, &stats);
+  const NodeId from = q.from;
+  QueryReplyBody reply;
+  reply.queryId = q.queryId;
+  activeQueries_.erase(it);
   if (!steps.isOk()) {
-    refuse(steps.status().code(), steps.status().message());
+    reply.statusCode = steps.status().code();
+    reply.reason = steps.status().message();
+    send(from, kQueryReply, [&](ByteWriter& w) { reply.writeTo(w); });
     return;
   }
   queryReplayTotals_.accumulate(stats);
@@ -1151,10 +1223,10 @@ void VoldemortServer::handleQueryRequest(hlc::Timestamp /*eventTs*/,
   reply.baseStateKeys = stats.baseStateKeys;
   reply.replayedKeys = stats.replayedKeys;
 
-  // Charge CPU proportional to the replay actually performed: the one
-  // base-state materialization, every diff entry applied, and the diff
-  // engine's traversal/probing — the same cost knobs the snapshot path
-  // uses, so replay cost shows up in foreground latency honestly.
+  // Charge CPU proportional to the replay actually performed: the base
+  // state's keys, every diff entry applied, and the diff engine's
+  // traversal/probing — the same cost knobs the snapshot path uses, so
+  // replay cost shows up in foreground latency honestly.
   const TimeMicros cost = static_cast<TimeMicros>(
       config_.applyMicrosPerEntry *
           static_cast<double>(stats.baseStateKeys + stats.replayedKeys) +
@@ -1704,6 +1776,10 @@ bool VoldemortServer::applyTransferItem(const TransferItemWire& item,
       for (const log::Entry& e : item.history) appendObserver_(e);
     }
     *graftedEntries += wlog.graftHistory(item.history, sourceFloor);
+    ++historyGrafts_;
+    for (auto& [sid, active] : activeSnapshots_) {
+      if (active.view.isOpen()) active.graftedSinceCapture.push_back(item.key);
+    }
     if (rebalanceFloor_ < sourceFloor) rebalanceFloor_ = sourceFloor;
     bdb_->put(item.key, item.value);
     versions_[item.key] = item.version;

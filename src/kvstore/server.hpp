@@ -67,9 +67,11 @@ struct ServerConfig {
 
   // --- snapshot costs ---
   /// CPU charged while copying the database, per MB (checksumming,
-  /// page-cache churn); submitted in chunks so foreground ops interleave.
+  /// page-cache churn).
   double copyCpuMicrosPerMB = 3200;
-  uint64_t copyChunkBytes = 4ull << 20;
+  /// Key + value bytes one executor task copies for a full snapshot or
+  /// folds for a temporal query; foreground ops run between chunks.
+  uint64_t copyChunkBytes = 256ull << 10;
   double compactionMicrosPerEntry = 0.4;
   double applyMicrosPerEntry = 1.0;
   /// CPU per index probe of the indexed diff engine: one sparse-index or
@@ -295,11 +297,33 @@ class VoldemortServer {
   struct ActiveSnapshot {
     core::SnapshotRequest request;
     NodeId initiator = 0;
-    /// Semantic capture of the database contents at Tr (the closed
-    /// segments hold exactly this state in the real system).
+    /// Semantic capture of the database contents at captureTime (the
+    /// closed segments hold exactly this state in the real system),
+    /// copied from `view` one chunk per executor task.
     std::unordered_map<Key, Value> stateAtCapture;
+    store::BdbStore::View view;
+    /// Keys grafted while the state was copying: unknown here at
+    /// captureTime, so they stay out of the snapshot even though their
+    /// grafted history reaches below it.
+    std::vector<Key> graftedSinceCapture;
     hlc::Timestamp captureTime;
+    /// Copy-stage parts still running: the hot backup's disk copy and
+    /// the chunked state copy.
+    uint8_t copyPartsLeft = 0;
     uint8_t stage = 0;  // 0 copy, 1 compaction, 2 application, 3 done
+  };
+
+  /// A temporal query folding the store as of t0 through `view`.
+  struct ActiveQuery {
+    ActiveQuery(NodeId from, uint64_t queryId, core::PartialsEvaluator eval)
+        : from(from), queryId(queryId), eval(std::move(eval)) {}
+    NodeId from = 0;
+    uint64_t queryId = 0;
+    core::PartialsEvaluator eval;
+    store::BdbStore::View view;
+    hlc::Timestamp t0;
+    /// historyGrafts_ when the view opened.
+    uint64_t grafts = 0;
   };
 
   /// A request handler: runs on the executor with the receive event's
@@ -348,13 +372,23 @@ class VoldemortServer {
   size_t repairCandidateCount(const Key& key) const;
 
   void startSnapshot(ActiveSnapshot active);
-  void snapshotDataCopyDone(core::SnapshotId id, uint64_t bytesCopied);
+  /// Copy the next chunk of the state at captureTime, then charge its
+  /// CPU and queue the next chunk.
+  void copyChunk(core::SnapshotId id);
+  void copyPartDone(core::SnapshotId id);
   void snapshotCompaction(core::SnapshotId id);
   void snapshotApply(core::SnapshotId id, log::DiffMap diff,
                      log::DiffStats stats);
   void finishSnapshot(core::SnapshotId id, core::LocalSnapshotStatus status,
                       size_t persistedBytes);
-  void chargeCopyCpu(uint64_t bytes, std::function<void()> done);
+
+  /// Open (or reopen) a query's view at `t0` and forget what it folded.
+  void openQueryView(ActiveQuery& q, hlc::Timestamp t0);
+  /// Fold the next chunk of the store into the query, then queue the
+  /// next chunk or, after the last, finishQuery.
+  void foldQueryChunk(uint64_t key);
+  /// Replay the grid and reply.
+  void finishQuery(uint64_t key);
 
   void updateMemoryModel();
   void archiveTick();
@@ -480,6 +514,11 @@ class VoldemortServer {
   Counters storageCounters_;
 
   std::map<core::SnapshotId, ActiveSnapshot> activeSnapshots_;
+  /// Temporal queries still folding, by queriesServed_ at arrival.
+  std::map<uint64_t, ActiveQuery> activeQueries_;
+  /// Rebalance grafts so far: a graft adds history before a running
+  /// query's t0 that its fold never saw, so the query starts over.
+  uint64_t historyGrafts_ = 0;
   /// Converted concurrent snapshots waiting for their base to complete.
   std::map<core::SnapshotId, std::vector<ActiveSnapshot>> pendingOnBase_;
   bool alive_ = true;

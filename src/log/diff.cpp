@@ -20,11 +20,9 @@ void DiffMap::set(const Key& key, OptValue value) {
   }
 }
 
-void DiffMap::setIfAbsent(const Key& key, OptValue value) {
-  auto it = map_.find(key);
-  if (it != map_.end()) return;
-  dataBytes_ += entryBytes(key, value);
-  map_.emplace(key, std::move(value));
+void DiffMap::setIfAbsent(const Key& key, const OptValue& value) {
+  auto [it, inserted] = map_.try_emplace(key, value);
+  if (inserted) dataBytes_ += entryBytes(key, value);
 }
 
 void DiffMap::applyTo(std::unordered_map<Key, Value>& state) const {

@@ -19,9 +19,9 @@ class DiffMap {
   /// absent (deleted / not yet created) at the target point.
   void set(const Key& key, OptValue value);
 
-  /// Set only if the key is not already present (used when walking
-  /// backward and the earliest entry must win without overwrites).
-  void setIfAbsent(const Key& key, OptValue value);
+  /// Set only if the key is not already present (used when a scan meets
+  /// the winning entry first); copies `value` only when it is kept.
+  void setIfAbsent(const Key& key, const OptValue& value);
 
   bool contains(const Key& key) const { return map_.contains(key); }
   size_t size() const { return map_.size(); }

@@ -146,13 +146,13 @@ Result<DiffMap> WindowLog::diffToPast(hlc::Timestamp timeInPast,
   const uint64_t boundarySeq = baseSeq_ + boundary;
   DiffMap diff;
   if (inRange <= keyChains_.size()) {
-    // Bounded reverse scan: cheaper than probing every live key.
-    // Overwrites mean the *earliest* entry after the target wins, so
-    // each key maps to its value as of timeInPast (operation-shadowing
-    // compaction, Fig. 6).
-    for (size_t i = entries_.size(); i > boundary; --i) {
-      const Entry& e = entries_[i - 1];
-      diff.set(e.key, e.oldValue);
+    // Bounded scan: cheaper than probing every live key.  The *earliest*
+    // entry after the target wins, so each key maps to its value as of
+    // timeInPast (operation-shadowing compaction, Fig. 6); walking
+    // oldest-first copies each surviving value once.
+    for (size_t i = boundary; i < entries_.size(); ++i) {
+      const Entry& e = entries_[i];
+      diff.setIfAbsent(e.key, e.oldValue);
       ++local.entriesTraversed;
     }
   } else {
@@ -195,11 +195,12 @@ Result<DiffMap> WindowLog::diffForward(hlc::Timestamp start,
   const uint64_t hiSeq = baseSeq_ + hi;
   DiffMap diff;
   if (hi - lo <= keyChains_.size()) {
-    // Bounded forward scan over start < ts <= end; the last write per
-    // key wins, producing the state delta start -> end.
-    for (size_t i = lo; i < hi; ++i) {
-      const Entry& e = entries_[i];
-      diff.set(e.key, e.newValue);
+    // Bounded scan over start < ts <= end; the last write per key wins,
+    // producing the state delta start -> end.  Walking newest-first
+    // copies each surviving value once.
+    for (size_t i = hi; i > lo; --i) {
+      const Entry& e = entries_[i - 1];
+      diff.setIfAbsent(e.key, e.newValue);
       ++local.entriesTraversed;
     }
   } else {
@@ -243,11 +244,12 @@ Result<DiffMap> WindowLog::diffBackward(hlc::Timestamp end,
   const uint64_t hiSeq = baseSeq_ + hi;
   DiffMap diff;
   if (hi - lo <= keyChains_.size()) {
-    // Bounded reverse scan over start < ts <= end; the earliest entry
-    // per key wins (its oldValue is the value at `start`).
-    for (size_t i = hi; i > lo; --i) {
-      const Entry& e = entries_[i - 1];
-      diff.set(e.key, e.oldValue);
+    // Bounded scan over start < ts <= end; the earliest entry per key
+    // wins (its oldValue is the value at `start`).  Walking oldest-first
+    // copies each surviving value once.
+    for (size_t i = lo; i < hi; ++i) {
+      const Entry& e = entries_[i];
+      diff.setIfAbsent(e.key, e.oldValue);
       ++local.entriesTraversed;
     }
   } else {

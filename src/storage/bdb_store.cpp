@@ -17,6 +17,110 @@ BdbStore::BdbStore(runtime::ExecutionContext& ctx, sim::SimDisk& disk,
   maybeScheduleCleaner();
 }
 
+BdbStore::~BdbStore() {
+  for (ViewState* v : views_) v->store = nullptr;
+}
+
+BdbStore::View BdbStore::openView() {
+  auto state = std::make_unique<ViewState>();
+  state->store = this;
+  views_.push_back(state.get());
+  return View(std::move(state));
+}
+
+BdbStore::View& BdbStore::View::operator=(View&& other) noexcept {
+  if (this != &other) {
+    close();
+    state_ = std::move(other.state_);
+  }
+  return *this;
+}
+
+void BdbStore::View::close() {
+  if (state_ == nullptr) return;
+  if (BdbStore* store = state_->store) {
+    std::erase(store->views_, state_.get());
+  }
+  state_.reset();
+}
+
+BdbStore::ViewRead BdbStore::View::read(
+    uint64_t budgetBytes,
+    const std::function<void(const Key&, const Value&)>& sink) {
+  if (!isOpen()) return ViewRead::kClosed;
+  ViewState& v = *state_;
+  if (v.restarted) {
+    v.restarted = false;
+    return ViewRead::kRestarted;
+  }
+  if (v.done) return ViewRead::kDone;
+  const auto& index = v.store->index_;
+  const size_t buckets = index.bucket_count();
+  // Bucket order visits the nodes in no memory order, so each bucket's
+  // first node is touched a few buckets ahead (its before-node load then
+  // overlaps this bucket's copy) and its value bytes a few buckets later.
+  constexpr size_t kNodeAhead = 16;
+  constexpr size_t kValueAhead = 8;
+  uint64_t bytes = 0;
+  // At least one entry per call, so a zero budget still makes progress.
+  while (v.nextBucket < buckets && (bytes < budgetBytes || bytes == 0)) {
+    const size_t b = v.nextBucket++;
+    if (b + kNodeAhead < buckets) {
+      const auto ahead = index.begin(b + kNodeAhead);
+      if (ahead != index.end(b + kNodeAhead)) __builtin_prefetch(&*ahead);
+    }
+    if (b + kValueAhead < buckets) {
+      const auto ahead = index.begin(b + kValueAhead);
+      if (ahead != index.end(b + kValueAhead)) {
+        __builtin_prefetch(ahead->second.data());
+      }
+    }
+    for (auto it = index.begin(b); it != index.end(b); ++it) {
+      if (!v.saved.empty() && v.saved.contains(it->first)) continue;
+      bytes += it->first.size() + it->second.size();
+      sink(it->first, it->second);
+    }
+  }
+  if (v.nextBucket < buckets) return ViewRead::kMore;
+  // Keys changed before their bucket came up: their values at open.
+  for (auto& [key, image] : v.saved) {
+    if (!image.bucketRead && image.value) sink(key, *image.value);
+    image.bucketRead = true;
+  }
+  v.done = true;
+  return ViewRead::kDone;
+}
+
+const Value* BdbStore::View::valueAtOpen(const Key& key) const {
+  if (!isOpen()) return nullptr;
+  if (const auto it = state_->saved.find(key); it != state_->saved.end()) {
+    return it->second.value ? &*it->second.value : nullptr;
+  }
+  const auto& index = state_->store->index_;
+  const auto it = index.find(key);
+  return it == index.end() ? nullptr : &it->second;
+}
+
+void BdbStore::saveBeforeImage(const Key& key, const Value* current) {
+  if (views_.empty()) return;
+  const size_t bucket = index_.bucket(key);
+  for (ViewState* v : views_) {
+    auto [it, inserted] = v->saved.try_emplace(key);
+    if (!inserted) continue;
+    if (current != nullptr) it->second.value = *current;
+    it->second.bucketRead = v->done || bucket < v->nextBucket;
+  }
+}
+
+void BdbStore::restartViews() {
+  for (ViewState* v : views_) {
+    if (v->done) continue;
+    v->nextBucket = 0;
+    v->restarted = true;
+    for (auto& [key, image] : v->saved) image.bucketRead = false;
+  }
+}
+
 uint64_t BdbStore::recordBytes(const Key& key, const Value* value) const {
   constexpr size_t kRecordOverheadBytes = 32;  // headers, checksums
   return key.size() + (value ? value->size() : 0) + kRecordOverheadBytes;
@@ -24,11 +128,14 @@ uint64_t BdbStore::recordBytes(const Key& key, const Value* value) const {
 
 void BdbStore::put(const Key& key, Value value) {
   auto it = index_.find(key);
+  saveBeforeImage(key, it == index_.end() ? nullptr : &it->second);
   if (it != index_.end()) {
     liveBytes_ -= key.size() + it->second.size();
     it->second = std::move(value);
   } else {
+    const size_t buckets = index_.bucket_count();
     it = index_.emplace(key, std::move(value)).first;
+    if (index_.bucket_count() != buckets) restartViews();
   }
   liveBytes_ += key.size() + it->second.size();
   recordCrcs_[key] = recordChecksum(key, it->second);
@@ -44,6 +151,7 @@ OptValue BdbStore::get(const Key& key) const {
 void BdbStore::remove(const Key& key) {
   auto it = index_.find(key);
   if (it == index_.end()) return;
+  saveBeforeImage(key, &it->second);
   liveBytes_ -= key.size() + it->second.size();
   index_.erase(it);
   recordCrcs_.erase(key);
@@ -58,6 +166,7 @@ uint32_t BdbStore::recordCrc(const Key& key) const {
 bool BdbStore::corruptRecordValue(const Key& key, uint64_t bitDraw) {
   auto it = index_.find(key);
   if (it == index_.end() || it->second.empty()) return false;
+  saveBeforeImage(key, &it->second);
   const size_t bit = static_cast<size_t>(bitDraw % (it->second.size() * 8));
   it->second[bit / 8] ^= static_cast<char>(1u << (bit % 8));
   return true;
@@ -74,6 +183,7 @@ BdbStore::VerifyReport BdbStore::verifyRecords(bool checksumsEnabled) {
   }
   for (const Key& key : report.quarantined) {
     auto it = index_.find(key);
+    saveBeforeImage(key, &it->second);
     liveBytes_ -= key.size() + it->second.size();
     index_.erase(it);
     recordCrcs_.erase(key);

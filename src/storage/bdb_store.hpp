@@ -10,11 +10,19 @@
 //    ~15-second stalls behind Fig. 14's variance);
 //  * writes are buffered in memory and flushed to the simulated disk
 //    asynchronously.
+//
+// A View reads the index as of one instant, a bucket range at a time,
+// while puts and removes continue between reads: before a mutation
+// changes a key, the store saves the key's old value (its before-image)
+// into every open view that has none for it yet (copy-on-write by key).
+// Full snapshots copy the store and temporal queries fold it through a
+// view, one bounded chunk per executor task.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -38,11 +46,60 @@ struct BdbConfig {
 };
 
 class BdbStore {
+  struct ViewState;
+
  public:
   /// `owner` routes flush/cleaner callbacks to the owning node's thread
   /// under the realtime runtime (ignored by the simulator).
   BdbStore(runtime::ExecutionContext& ctx, sim::SimDisk& disk,
            BdbConfig config = {}, NodeId owner = 0);
+  /// Open views hold a pointer back to the store; destroying it closes
+  /// them (their reads return kClosed).
+  ~BdbStore();
+  BdbStore(const BdbStore&) = delete;
+  BdbStore& operator=(const BdbStore&) = delete;
+
+  enum class ViewRead {
+    kMore,       ///< entries delivered; buckets remain
+    kDone,       ///< every key delivered, each once, with its value at open
+    kRestarted,  ///< an insert rehashed the index: discard everything this
+                 ///< view delivered and read again from the start
+    kClosed,     ///< the store is gone; nothing more will come
+  };
+
+  /// The index as of the instant openView() ran.  Closes with its handle;
+  /// used only on the thread that owns the store.
+  class View {
+   public:
+    View() = default;
+    View(View&&) noexcept = default;
+    View& operator=(View&& other) noexcept;
+    ~View() { close(); }
+
+    /// Hand the entries of the next buckets to `sink`, about
+    /// `budgetBytes` of key + value bytes, in bucket order.  Keys changed
+    /// since open are skipped there; after the last bucket, their saved
+    /// values follow.
+    ViewRead read(uint64_t budgetBytes,
+                  const std::function<void(const Key&, const Value&)>& sink);
+
+    /// `key`'s value at open (its before-image if it changed since, else
+    /// the live value); null if it had none.
+    const Value* valueAtOpen(const Key& key) const;
+
+    bool isOpen() const {
+      return state_ != nullptr && state_->store != nullptr;
+    }
+    void close();
+
+   private:
+    friend class BdbStore;
+    explicit View(std::unique_ptr<ViewState> state)
+        : state_(std::move(state)) {}
+    std::unique_ptr<ViewState> state_;
+  };
+
+  View openView();
 
   // --- data path (in-memory index + buffered log append) ---
   void put(const Key& key, Value value);
@@ -55,8 +112,8 @@ class BdbStore {
   /// Bytes across all on-disk segments (live + dead).
   uint64_t totalSegmentBytes() const;
 
-  /// Read-only view of the current state (the simulator's stand-in for
-  /// scanning the store).
+  /// The live index, read-only.  Snapshot copies and temporal queries
+  /// read it through a View instead, so they can span many tasks.
   const std::unordered_map<Key, Value>& data() const { return index_; }
 
   // --- hot backup (Oracle BDB procedure, §IV-A "Data copy") ---
@@ -104,6 +161,25 @@ class BdbStore {
     bool closed = false;
   };
 
+  struct ViewState {
+    struct BeforeImage {
+      OptValue value;           ///< the key's value at open
+      bool bucketRead = false;  ///< its bucket was already handed over
+    };
+    BdbStore* store = nullptr;
+    size_t nextBucket = 0;
+    bool restarted = false;
+    bool done = false;
+    std::unordered_map<Key, BeforeImage> saved;
+  };
+
+  /// Copy-on-write: save `key`'s value before a mutation changes it.
+  /// `current` is its live value, null if absent.
+  void saveBeforeImage(const Key& key, const Value* current);
+  /// An insert that changes bucket_count() invalidates every bucket
+  /// position: unfinished views start over.
+  void restartViews();
+
   uint64_t recordBytes(const Key& key, const Value* value) const;
   void appendRecord(uint64_t bytes, const Key& key);
   void flushWriteBuffer(std::function<void()> done);
@@ -118,6 +194,7 @@ class BdbStore {
   BdbConfig config_;
 
   std::unordered_map<Key, Value> index_;
+  std::vector<ViewState*> views_;
   /// CRC32C(key + value) of each live record, written on the put path —
   /// the per-record checksum of the segment format (the per-record
   /// overhead in recordBytes() already accounts for its on-disk size).

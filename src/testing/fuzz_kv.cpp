@@ -133,6 +133,10 @@ FuzzResult runKvScenario(const Scenario& s) {
   // Unbounded window-logs: the forward-replay oracle needs full history.
   cfg.server.logConfig.maxBytes = 0;
   cfg.server.bdb.cleanerEnabled = false;
+  // A fuzz store holds at most 1 500 keys of at most 127 B, which fits one
+  // default copy chunk: small chunks make full-snapshot copies meet puts,
+  // crashes, churn and grafts mid-copy.
+  cfg.server.copyChunkBytes = 4ull << 10;
   cfg.network.baseLatencyMicros = s.baseLatencyMicros;
   cfg.network.jitterMeanMicros = s.jitterMeanMicros;
   cfg.network.dropProbability = s.baseDropProbability;

@@ -1,5 +1,9 @@
 #include "storage/bdb_store.hpp"
 
+#include <iterator>
+#include <memory>
+
+#include "common/random.hpp"
 #include "sim/sim_context.hpp"
 
 #include <gtest/gtest.h>
@@ -173,6 +177,169 @@ TEST(BdbStore, DataViewMatchesIndex) {
   const auto& data = db.data();
   EXPECT_EQ(data.size(), 2u);
   EXPECT_EQ(data.at("x"), "1");
+}
+
+// ---------------------------------------------------------------------------
+// Views: each delivers exactly the state at open, each key once, however
+// the store changes between reads.
+// ---------------------------------------------------------------------------
+
+/// Reads `view` to the end, `budget` bytes per call, running `between`
+/// before every call.  A key delivered twice in one pass fails the test;
+/// kRestarted discards the pass.
+std::unordered_map<Key, Value> drain(BdbStore::View& view, uint64_t budget,
+                                     const std::function<void()>& between) {
+  std::unordered_map<Key, Value> got;
+  for (;;) {
+    between();
+    const auto read = view.read(budget, [&](const Key& k, const Value& v) {
+      EXPECT_TRUE(got.emplace(k, v).second) << "key delivered twice: " << k;
+    });
+    if (read == BdbStore::ViewRead::kRestarted) {
+      got.clear();
+    } else if (read != BdbStore::ViewRead::kMore) {
+      EXPECT_EQ(read, BdbStore::ViewRead::kDone);
+      return got;
+    }
+  }
+}
+
+/// One random overwrite, delete or insert (a fresh key, or a deleted one
+/// coming back).
+void mutate(BdbStore& db, Rng& rng, int& nextKey) {
+  const double draw = rng.nextDouble();
+  const auto& live = db.data();
+  if (draw < 0.4 && !live.empty()) {
+    auto it = live.begin();
+    std::advance(it, static_cast<long>(rng.nextBounded(live.size())));
+    db.put(it->first, "new" + std::to_string(rng.next() % 1000));
+  } else if (draw < 0.7 && !live.empty()) {
+    auto it = live.begin();
+    std::advance(it, static_cast<long>(rng.nextBounded(live.size())));
+    db.remove(Key(it->first));
+  } else {
+    const int id = rng.nextBool(0.3) ? static_cast<int>(rng.nextBounded(
+                                           static_cast<uint64_t>(nextKey)))
+                                     : nextKey++;
+    db.put("k" + std::to_string(id), std::string(rng.nextBounded(40), 'i'));
+  }
+}
+
+TEST(BdbStoreView, DeliversStateAtOpenUnderOverwritesDeletesAndInserts) {
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f;
+    BdbStore db(f.ctx, f.disk);
+    Rng rng(seed);
+    int nextKey = 0;
+    const int preload = 1 + static_cast<int>(rng.nextBounded(300));
+    for (; nextKey < preload; ++nextKey) {
+      db.put("k" + std::to_string(nextKey),
+             std::string(1 + rng.nextBounded(60), 'p'));
+    }
+    const auto atOpen = db.data();
+    auto view = db.openView();
+    const uint64_t budget = 1 + rng.nextBounded(400);
+    const auto got = drain(view, budget, [&] {
+      for (uint64_t n = rng.nextBounded(6); n > 0; --n) {
+        mutate(db, rng, nextKey);
+      }
+    });
+    EXPECT_EQ(got, atOpen);
+    // The view keeps answering point reads at open after the last chunk.
+    for (int i = 0; i < nextKey; ++i) {
+      const Key k = "k" + std::to_string(i);
+      const Value* v = view.valueAtOpen(k);
+      const auto it = atOpen.find(k);
+      if (it == atOpen.end()) {
+        EXPECT_EQ(v, nullptr) << k;
+      } else {
+        ASSERT_NE(v, nullptr) << k;
+        EXPECT_EQ(*v, it->second) << k;
+      }
+    }
+  }
+}
+
+TEST(BdbStoreView, RehashRestartsTheRead) {
+  Fixture f;
+  BdbStore db(f.ctx, f.disk);
+  for (int i = 0; i < 50; ++i) db.put("k" + std::to_string(i), "v");
+  const auto atOpen = db.data();
+  auto view = db.openView();
+  size_t delivered = 0;
+  ASSERT_EQ(view.read(40, [&](const Key&, const Value&) { ++delivered; }),
+            BdbStore::ViewRead::kMore);
+  EXPECT_GT(delivered, 0u);
+  const size_t buckets = db.data().bucket_count();
+  int added = 0;
+  while (db.data().bucket_count() == buckets) {
+    db.put("new" + std::to_string(added++), "x");
+  }
+  EXPECT_EQ(view.read(40, [](const Key&, const Value&) {}),
+            BdbStore::ViewRead::kRestarted);
+  EXPECT_EQ(drain(view, 40, [] {}), atOpen);
+}
+
+TEST(BdbStoreView, TwoViewsEachSeeTheirOwnInstant) {
+  for (uint64_t seed = 1; seed <= 32; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Fixture f;
+    BdbStore db(f.ctx, f.disk);
+    Rng rng(seed * 977);
+    int nextKey = 0;
+    for (; nextKey < 120; ++nextKey) {
+      db.put("k" + std::to_string(nextKey), std::string(20, 'p'));
+    }
+    const auto atFirst = db.data();
+    auto first = db.openView();
+    std::unordered_map<Key, Value> gotFirst;
+    ASSERT_EQ(first.read(300, [&](const Key& k, const Value& v) {
+      gotFirst.emplace(k, v);
+    }), BdbStore::ViewRead::kMore);
+    for (int n = 0; n < 40; ++n) mutate(db, rng, nextKey);
+    const auto atSecond = db.data();
+    auto second = db.openView();
+    // Interleave the two reads with more changes.
+    std::unordered_map<Key, Value> gotSecond;
+    bool firstDone = false, secondDone = false;
+    while (!firstDone || !secondDone) {
+      for (uint64_t n = rng.nextBounded(4); n > 0; --n) {
+        mutate(db, rng, nextKey);
+      }
+      const auto pump = [&](BdbStore::View& v, auto& got, bool& done) {
+        if (done) return;
+        const auto read = v.read(200, [&](const Key& k, const Value& val) {
+          EXPECT_TRUE(got.emplace(k, val).second) << k;
+        });
+        if (read == BdbStore::ViewRead::kRestarted) got.clear();
+        done = read == BdbStore::ViewRead::kDone;
+      };
+      pump(first, gotFirst, firstDone);
+      pump(second, gotSecond, secondDone);
+    }
+    EXPECT_EQ(gotFirst, atFirst);
+    EXPECT_EQ(gotSecond, atSecond);
+  }
+}
+
+TEST(BdbStoreView, ClosesWithItsHandleOrItsStore) {
+  Fixture f;
+  auto db = std::make_unique<BdbStore>(f.ctx, f.disk);
+  db->put("a", "1");
+  {
+    auto dropped = db->openView();
+    auto moved = std::move(dropped);
+    EXPECT_FALSE(dropped.isOpen());
+    EXPECT_TRUE(moved.isOpen());
+  }
+  db->put("a", "2");  // no view left to save into
+  auto view = db->openView();
+  db.reset();
+  EXPECT_FALSE(view.isOpen());
+  EXPECT_EQ(view.read(1 << 20, [](const Key&, const Value&) {}),
+            BdbStore::ViewRead::kClosed);
+  EXPECT_EQ(view.valueAtOpen("a"), nullptr);
 }
 
 }  // namespace

@@ -192,6 +192,9 @@ void runChaosSeed(uint64_t seed, TransportKind transport,
   // (EpsilonViolationDetection) and test_fuzz_clock_anomalies.
   cfg.epsilonMillis = 4 * kMaxSkewMillis + 4;
   hardenConfigs(cfg);
+  // Copy and fold the small chaos stores a few keys per task, so snapshot
+  // copies and queries interleave with puts on the node threads.
+  cfg.server.copyChunkBytes = 256;
   cfg.transport = transport;
   if (transport == TransportKind::kUdpLoopback) cfg.udp = udpChaosConfig(seed);
   RealtimeKvCluster cluster(cfg);

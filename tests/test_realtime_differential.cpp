@@ -4,7 +4,10 @@
 // (RealtimeKvCluster) — and the two executions must agree on
 //
 //   1. per-server final key-value state (exact map equality),
-//   2. snapshot completion (both runtimes reach kComplete),
+//   2. snapshot completion (both runtimes reach kComplete), and in each
+//      runtime every server's stored snapshot equals the replay of its
+//      own window-log appends up to the target — the copy runs a few
+//      keys per task, so puts land between its chunks,
 //   3. distributed temporal-query results (same matched count and
 //      aggregate value for a final-state SUM),
 //
@@ -33,6 +36,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +90,8 @@ ServerConfig diffServerConfig() {
   // no modelled time, so it ignores them.
   cfg.putServiceMicros = 50;
   cfg.getServiceMicros = 30;
+  // About two keys per copy task.
+  cfg.copyChunkBytes = 32;
   return cfg;
 }
 
@@ -116,6 +122,7 @@ struct Driver {
   std::atomic<bool> snapshotComplete{false};
   hlc::Timestamp snapshotTarget;  // written on the admin thread before
                                   // snapshotDone is set (acquire pairs)
+  core::SnapshotId snapshotId = 0;  // same publication discipline
   std::atomic<bool> queryDone{false};
   QueryOutcome queryOutcome;  // same publication discipline
 
@@ -147,6 +154,7 @@ struct Driver {
               cluster.admin().snapshotNow([this](
                                               const core::SnapshotSession& s) {
                 snapshotTarget = s.request().target;
+                snapshotId = s.request().id;
                 snapshotComplete.store(
                     s.state() == core::GlobalSnapshotState::kComplete);
                 snapshotDone.store(true, std::memory_order_release);
@@ -189,6 +197,41 @@ struct Driver {
   }
 };
 
+/// Every window-log append on each server, recorded on the server's own
+/// thread; read only after the run.
+template <typename Cluster>
+std::unique_ptr<std::vector<log::Entry>[]> recordAppends(Cluster& cluster) {
+  auto appends = std::make_unique<std::vector<log::Entry>[]>(kServers);
+  for (size_t i = 0; i < kServers; ++i) {
+    cluster.server(i).setAppendObserver(
+        [sink = &appends[i]](const log::Entry& e) { sink->push_back(e); });
+  }
+  return appends;
+}
+
+/// Each server's stored snapshot holds exactly its appends at or before
+/// the target (no preload, no grafts: the stores start empty).
+template <typename Cluster>
+void expectSnapshotsMatchAppends(Cluster& cluster,
+                                 const std::vector<log::Entry>* appends,
+                                 core::SnapshotId id, hlc::Timestamp target) {
+  for (size_t i = 0; i < kServers; ++i) {
+    auto stored = cluster.server(i).snapshots().materialize(id);
+    ASSERT_TRUE(stored.isOk())
+        << "server " << i << ": " << stored.status().toString();
+    std::unordered_map<Key, Value> expected;
+    for (const log::Entry& e : appends[i]) {
+      if (target < e.ts) continue;
+      if (e.newValue) {
+        expected[e.key] = *e.newValue;
+      } else {
+        expected.erase(e.key);
+      }
+    }
+    EXPECT_EQ(stored.value(), expected) << "server " << i;
+  }
+}
+
 template <typename Cluster>
 std::vector<std::map<Key, Value>> collectServerState(Cluster& cluster) {
   std::vector<std::map<Key, Value>> state;
@@ -208,12 +251,17 @@ RunOutcome runSim(uint64_t seed, const std::vector<std::vector<Op>>& ops) {
   cfg.server = diffServerConfig();
   cfg.client = diffClientConfig();
   VoldemortCluster cluster(cfg);
+  const auto appends = recordAppends(cluster);
 
   Driver driver(ops);
   for (size_t c = 0; c < kClients; ++c) driver.pump(cluster, c);
   cluster.env().run();
   EXPECT_EQ(driver.opsDone.load(), driver.totalOps());
   EXPECT_TRUE(driver.snapshotDone.load());
+  if (driver.snapshotComplete.load()) {
+    expectSnapshotsMatchAppends(cluster, appends.get(), driver.snapshotId,
+                                driver.snapshotTarget);
+  }
 
   driver.runQuery(cluster);
   cluster.env().run();
@@ -237,6 +285,7 @@ RunOutcome runRealtime(uint64_t seed,
   cfg.client = diffClientConfig();
   RealtimeKvCluster cluster(cfg);
   cluster.enableCausalityTrace();
+  const auto appends = recordAppends(cluster);
 
   Driver driver(ops);
   cluster.start();
@@ -258,6 +307,10 @@ RunOutcome runRealtime(uint64_t seed,
   RunOutcome out;
   driver.fill(out);
   out.perServer = collectServerState(cluster);
+  if (out.snapshotComplete) {
+    expectSnapshotsMatchAppends(cluster, appends.get(), driver.snapshotId,
+                                driver.snapshotTarget);
+  }
 
   // The realtime-only obligation: every retrospective cut implied by
   // this run must survive the adversarial checker.

@@ -23,6 +23,8 @@
 #include "kvstore/cluster.hpp"
 #include "log/naive_window_log.hpp"
 #include "log/window_log.hpp"
+#include "sim/sim_context.hpp"
+#include "storage/bdb_store.hpp"
 #include "workload/driver.hpp"
 
 namespace retro::core {
@@ -244,6 +246,105 @@ TEST(TemporalQueryDifferential, RandomizedSweepMatchesNaiveMaterialization) {
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "differential divergence at seed " << seed;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Interleaved differential (RETRO_QUERY_SEEDS): the evaluator folds a
+// store through a view, chunk by chunk, while puts, deletes and inserts
+// land between chunks (logged after T0, some rehashing the index); its
+// series must equal evalPartials over the final state for an interval up
+// to T0.
+// ---------------------------------------------------------------------------
+
+TEST(TemporalQueryDifferential, InterleavedFoldMatchesOneShotOverFinalState) {
+  static constexpr const char* kAggregates[] = {
+      "COUNT WHERE value >= -20", "SUM WHERE key PREFIX 'k1'",
+      "MIN WHERE value != 3", "MAX"};
+  const uint64_t seeds = querySeedCount();
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 7919 + 3);
+    sim::SimEnv env(seed);
+    sim::SimContext ctx(env);
+    sim::SimDisk disk(ctx, sim::DiskConfig{});
+    store::BdbStore db(ctx, disk);
+    log::WindowLog wlog(logConfigForSeed(seed));
+
+    int64_t clock = 1;
+    uint64_t keySpace = 4 + rng.nextBounded(40);
+    const auto write = [&] {
+      if (!rng.nextBool(0.3)) clock += 1 + rng.nextBounded(3);
+      const Key key = "k" + std::to_string(rng.nextBounded(keySpace));
+      const OptValue oldV = db.get(key);
+      OptValue newV;
+      if (!rng.nextBool(0.25)) {
+        newV = rng.nextBool(0.1) ? Value("txt")
+                                 : Value(std::to_string(rng.nextInt(-50, 50)));
+      }
+      wlog.append(key, oldV, newV, ts(clock));
+      if (newV) {
+        db.put(key, *newV);
+      } else {
+        db.remove(key);
+      }
+    };
+    const int history = 100 + static_cast<int>(rng.nextBounded(300));
+    for (int i = 0; i < history; ++i) write();
+
+    const hlc::Timestamp t0 = ts(clock);
+    const int64_t floorL = wlog.floor().l;
+    const int64_t t1 =
+        floorL + rng.nextInt(0, std::max<int64_t>(clock - floorL, 0));
+    const int64_t t2 = t1 + rng.nextInt(0, clock - t1);
+    std::string text = std::string(kAggregates[seed % 4]) + " OVER [" +
+                       std::to_string(t1) + ", " + std::to_string(t2) +
+                       "] STEP " + std::to_string(1 + rng.nextBounded(9));
+    if ((seed / 4) % 2 == 1) text += " ROLLING";
+    SCOPED_TRACE("query: " + text);
+    auto parsed = SnapshotQuery::parse(text);
+    ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+    const SnapshotQuery& query = parsed.value();
+
+    PartialsEvaluator eval(query, *query.temporal());
+    ASSERT_TRUE(eval.check(wlog).isOk());
+    auto view = db.openView();
+    // Writes from here on come after T0, and reach keys never seen before.
+    clock = t0.l + 1;
+    keySpace *= 4;
+    const uint64_t budget = 1 + rng.nextBounded(120);
+    for (;;) {
+      const auto read = view.read(
+          budget, [&](const Key& k, const Value& v) { eval.fold(k, v); });
+      if (read == store::BdbStore::ViewRead::kRestarted) {
+        eval.reset();
+        continue;
+      }
+      if (read == store::BdbStore::ViewRead::kDone) break;
+      ASSERT_EQ(read, store::BdbStore::ViewRead::kMore);
+      for (uint64_t n = rng.nextBounded(5); n > 0; --n) write();
+    }
+    for (uint64_t n = rng.nextBounded(20); n > 0; --n) write();
+
+    auto chunked = eval.finish(
+        wlog, t0, [&](const Key& k) { return view.valueAtOpen(k); });
+    auto oneShot = evalPartials(query, *query.temporal(), db.data(), wlog);
+    ASSERT_EQ(chunked.isOk(), oneShot.isOk())
+        << (chunked.isOk() ? oneShot.status().toString()
+                           : chunked.status().toString());
+    if (!chunked.isOk()) {
+      // A bounded window slid past T1 under the later writes.
+      EXPECT_EQ(chunked.status().code(), StatusCode::kOutOfRange);
+      EXPECT_EQ(oneShot.status().code(), StatusCode::kOutOfRange);
+      continue;
+    }
+    ASSERT_EQ(chunked.value().size(), oneShot.value().size());
+    for (size_t i = 0; i < chunked.value().size(); ++i) {
+      EXPECT_EQ(chunked.value()[i], oneShot.value()[i]) << "step " << i;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "interleaved divergence at seed " << seed;
     }
   }
 }
@@ -584,6 +685,21 @@ TEST_F(TemporalQueryEdge, StartBeforeFloorIsStructuredRefusal) {
   // never a silently truncated series.
   EXPECT_NE(r.status().message().find(wlog_.floor().toString()),
             std::string::npos);
+}
+
+TEST_F(TemporalQueryEdge, WindowSlidingPastStartMidFoldRefuses) {
+  auto q = SnapshotQuery::parse("COUNT OVER [20, 60] STEP 10");
+  ASSERT_TRUE(q.isOk());
+  PartialsEvaluator eval(q.value(), *q.value().temporal());
+  ASSERT_TRUE(eval.check(wlog_).isOk());
+  for (const auto& [k, v] : live_) eval.fold(k, v);
+  wlog_.truncateThrough(ts(30));  // the window slides while folding
+  auto r = eval.finish(wlog_, wlog_.latest(), [&](const Key& k) {
+    const auto it = live_.find(k);
+    return it == live_.end() ? nullptr : &it->second;
+  });
+  ASSERT_FALSE(r.isOk());
+  EXPECT_EQ(r.status().code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(TemporalQueryEdge, StepLargerThanIntervalDegeneratesToStart) {
