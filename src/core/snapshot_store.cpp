@@ -25,7 +25,8 @@ Status SnapshotStore::remove(SnapshotId id) {
                         std::to_string(otherId));
     }
   }
-  snapshots_.erase(id);
+  auto node = snapshots_.extract(id);
+  if (disposer_) disposer_(std::move(node.mapped()));
   return Status::ok();
 }
 

@@ -6,6 +6,7 @@
 // snapshot").
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -25,7 +26,15 @@ class SnapshotStore {
 
   /// Remove a snapshot. Fails with FAILED_PRECONDITION if another stored
   /// incremental snapshot uses it as a base (would orphan the chain).
+  /// The removed snapshot goes to the disposer, if one is set.
   Status remove(SnapshotId id);
+
+  /// Where remove() hands removed snapshots instead of destroying them
+  /// inline: a server passes them to its context's dispose(), so freeing
+  /// a large state never stalls its node thread.
+  void setDisposer(std::function<void(LocalSnapshot&&)> disposer) {
+    disposer_ = std::move(disposer);
+  }
 
   /// Resolve a snapshot to full key-value state, walking incremental
   /// chains. Returns the state at the snapshot's target time.
@@ -52,6 +61,7 @@ class SnapshotStore {
 
  private:
   std::map<SnapshotId, LocalSnapshot> snapshots_;
+  std::function<void(LocalSnapshot&&)> disposer_;
 };
 
 }  // namespace retro::core

@@ -1,6 +1,8 @@
 #include "core/temporal_query.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 
 namespace retro::core {
 
@@ -66,6 +68,14 @@ void PartialsEvaluator::reset() {
   numericCount_ = 0;
   sumBits_ = 0;
   histogram_.clear();
+  grid_.clear();
+  diffs_ = 0;
+  scan_ = {};
+  applying_ = {};
+  reading_ = true;
+  overlay_.clear();
+  baseKeyDelta_ = 0;
+  series_.clear();
 }
 
 void PartialsEvaluator::add(const Key& key, const Value& value) {
@@ -85,6 +95,10 @@ void PartialsEvaluator::remove(const Key& key, const Value& value) {
     --numericCount_;
     sumBits_ -= static_cast<uint64_t>(*n);
     const auto it = histogram_.find(*n);
+    if (it == histogram_.end()) {
+      throw std::logic_error("PartialsEvaluator: removing " +
+                             std::to_string(*n) + ", which was never added");
+    }
     if (--it->second == 0) histogram_.erase(it);
   }
 }
@@ -105,84 +119,108 @@ Result<std::vector<TemporalStep>> PartialsEvaluator::finish(
     const log::WindowLog& log, hlc::Timestamp t0,
     const std::function<const Value*(const Key&)>& valueAtT0,
     ReplayStats* stats) {
-  if (Status s = check(log); !s.isOk()) return s;
-  const std::vector<hlc::Timestamp> grid = temporalGrid(spec_);
+  auto done = finishPart(log, t0, valueAtT0, UINT64_MAX, stats);
+  if (!done.isOk()) return done.status();
+  return takeSeries();
+}
+
+void PartialsEvaluator::startDiff(hlc::Timestamp t0) {
   // No history after T0 is read: later grid points see the state at T0.
   const auto upToT0 = [t0](hlc::Timestamp t) { return std::min(t, t0); };
+  using Direction = log::DiffScan::Direction;
+  if (diffs_ == 0) {
+    const hlc::Timestamp base = spec_.rolling ? grid_.back() : grid_.front();
+    scan_ = log::DiffScan(Direction::kBackward, upToT0(base), t0);
+  } else if (!spec_.rolling) {
+    scan_ = log::DiffScan(Direction::kForward, upToT0(grid_[diffs_ - 1]),
+                          upToT0(grid_[diffs_]));
+  } else {
+    // Rolling scan: walk the grid backward from the newest point (fig. 15
+    // rolling-snapshot machinery); the series is flipped forward at the
+    // end.
+    const size_t i = grid_.size() - 1 - diffs_;
+    scan_ = log::DiffScan(Direction::kBackward, upToT0(grid_[i]),
+                          upToT0(grid_[i + 1]));
+  }
+  reading_ = true;
+}
 
-  // Keys a diff touched, with their value at the current grid point.
-  std::unordered_map<Key, OptValue> overlay;
-  // Moves each key of `diff` to its target; returns the change in the
-  // number of keys present.
-  const auto apply = [&](const log::DiffMap& diff) {
+Result<bool> PartialsEvaluator::finishPart(
+    const log::WindowLog& log, hlc::Timestamp t0,
+    const std::function<const Value*(const Key&)>& valueAtT0,
+    uint64_t budgetBytes, ReplayStats* stats) {
+  if (Status s = check(log); !s.isOk()) return s;
+  if (!grid_.empty() && diffs_ == grid_.size()) return true;
+  if (grid_.empty()) {
+    grid_ = temporalGrid(spec_);
+    series_.reserve(grid_.size());
+    startDiff(t0);
+  }
+  ReplayStats local;
+  // Moves one key to its target at the next grid point: the overlay
+  // holds it from then on, and the aggregate follows.
+  const auto apply = [&](Key&& key, OptValue&& target) {
+    auto [it, fresh] = overlay_.try_emplace(std::move(key));
+    const Key& k = it->first;
+    const Value* value =
+        fresh ? valueAtT0(k) : (it->second ? &*it->second : nullptr);
     int64_t keyDelta = 0;
-    for (const auto& [key, target] : diff.entries()) {
-      auto [it, fresh] = overlay.try_emplace(key);
-      const Value* value =
-          fresh ? valueAtT0(key) : (it->second ? &*it->second : nullptr);
-      if (value != nullptr) {
-        remove(key, *value);
-        --keyDelta;
-      }
-      if (target) {
-        add(key, *target);
-        ++keyDelta;
-      }
-      it->second = target;
+    if (value != nullptr) {
+      remove(k, *value);
+      --keyDelta;
     }
-    return keyDelta;
+    if (target) {
+      add(k, *target);
+      ++keyDelta;
+    }
+    if (diffs_ == 0) {
+      baseKeyDelta_ += keyDelta;
+      ++local.baseDiffKeys;
+    } else {
+      ++local.replayedKeys;
+      local.replayedBytes += k.size() + (target ? target->size() : 0);
+    }
+    it->second = std::move(target);
   };
-  const auto step = [&](Result<log::DiffMap> diff,
-                        const log::DiffStats& ds) -> Status {
-    if (!diff.isOk()) return diff.status();
-    if (stats) {
-      ++stats->diffCalls;
-      stats->diffTotals.accumulate(ds);
-      stats->replayedKeys += diff.value().size();
-      stats->replayedBytes += diff.value().dataBytes();
-    }
-    apply(diff.value());
-    return Status::ok();
+  uint64_t left = budgetBytes;
+  const auto spend = [&left](uint64_t bytes) {
+    left -= std::min(left, bytes);
   };
-
-  const hlc::Timestamp base = spec_.rolling ? grid.back() : grid.front();
-  log::DiffStats baseStats;
-  auto toBase = log.diffBackward(t0, upToT0(base), &baseStats);
-  if (!toBase.isOk()) return toBase.status();
-  overlay.reserve(toBase.value().size());
-  const int64_t baseKeys =
-      static_cast<int64_t>(folded_) + apply(toBase.value());
-  if (stats) {
-    ++stats->diffCalls;
-    stats->diffTotals.accumulate(baseStats);
-    stats->baseStateKeys += static_cast<size_t>(baseKeys);
-    stats->steps += grid.size();
-  }
-
-  std::vector<TemporalStep> series;
-  series.reserve(grid.size());
-  series.push_back({base, partial()});
-
-  if (!spec_.rolling) {
-    for (size_t i = 1; i < grid.size(); ++i) {
-      log::DiffStats ds;
-      auto diff = log.diffForward(upToT0(grid[i - 1]), upToT0(grid[i]), &ds);
-      if (Status s = step(std::move(diff), ds); !s.isOk()) return s;
-      series.push_back({grid[i], partial()});
+  bool done = false;
+  for (;;) {
+    if (reading_) {
+      auto visited = log.advance(scan_, left, &local.diffTotals);
+      if (!visited.isOk()) return visited.status();
+      spend(visited.value());
+      if (!scan_.done()) break;
+      ++local.diffCalls;
+      applying_ = std::move(scan_.diff());
+      if (diffs_ == 0) overlay_.reserve(applying_.size());
+      reading_ = false;
+      if (left == 0) break;
     }
-    return series;
+    // Applying a key also reads its value at T0 and moves the aggregate:
+    // it counts twice what a snapshot's application of it would.
+    spend(2 * applying_.drain(left / 2, apply));
+    if (!applying_.empty()) break;
+    // Diff number diffs_ is applied: the aggregate is at its grid point.
+    if (diffs_ == 0) {
+      local.baseStateKeys =
+          static_cast<size_t>(static_cast<int64_t>(folded_) + baseKeyDelta_);
+      local.steps = grid_.size();
+    }
+    const size_t at = spec_.rolling ? grid_.size() - 1 - diffs_ : diffs_;
+    series_.push_back({grid_[at], partial()});
+    if (++diffs_ == grid_.size()) {
+      if (spec_.rolling) std::reverse(series_.begin(), series_.end());
+      done = true;
+      break;
+    }
+    startDiff(t0);
+    if (left == 0) break;
   }
-
-  // Rolling scan: walk the grid backward from the newest point (fig. 15
-  // rolling-snapshot machinery), then flip the series forward.
-  for (size_t i = grid.size() - 1; i-- > 0;) {
-    log::DiffStats ds;
-    auto diff = log.diffBackward(upToT0(grid[i + 1]), upToT0(grid[i]), &ds);
-    if (Status s = step(std::move(diff), ds); !s.isOk()) return s;
-    series.push_back({grid[i], partial()});
-  }
-  std::reverse(series.begin(), series.end());
-  return series;
+  if (stats) stats->accumulate(local);
+  return done;
 }
 
 Result<std::vector<TemporalStep>> evalPartials(

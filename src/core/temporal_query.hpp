@@ -16,6 +16,11 @@
 //      overlay and the running aggregate — per-step cost is bounded by
 //      the diff size, never the state size.
 //
+// Steps 2 and 3 also run in pieces (finishPart): each call reads about
+// one budget of window-log entries through a log::DiffScan, or applies
+// about one budget of a read diff's keys, and the next call resumes
+// there, the way a server's fold resumes its view.
+//
 // Grid points after T0 see the state at T0 (no later history is read).
 // The ROLLING scan direction reuses the fig. 15 rolling-snapshot
 // machinery instead: roll back to the LAST grid point and on backward
@@ -54,6 +59,7 @@ namespace retro::core {
 struct ReplayStats {
   size_t steps = 0;           ///< grid points evaluated
   size_t baseStateKeys = 0;   ///< keys in the state at the base grid point
+  size_t baseDiffKeys = 0;    ///< keys the base diff moved into the overlay
   size_t diffCalls = 0;       ///< the base diff + per-step diff calls
   size_t replayedKeys = 0;    ///< per-key diff entries applied across steps
   size_t replayedBytes = 0;   ///< payload bytes of those diffs
@@ -62,6 +68,7 @@ struct ReplayStats {
   void accumulate(const ReplayStats& o) {
     steps += o.steps;
     baseStateKeys += o.baseStateKeys;
+    baseDiffKeys += o.baseDiffKeys;
     diffCalls += o.diffCalls;
     replayedKeys += o.replayedKeys;
     replayedBytes += o.replayedBytes;
@@ -85,7 +92,7 @@ std::vector<hlc::Timestamp> temporalGrid(const TemporalSpec& spec);
 
 /// Incremental node-side evaluation: fold() each entry of the state at
 /// T0 exactly once, in any order and over any number of calls, then
-/// finish() against the window-log.
+/// finish() against the window-log, at once or in pieces.
 class PartialsEvaluator {
  public:
   PartialsEvaluator(SnapshotQuery query, TemporalSpec spec);
@@ -108,14 +115,44 @@ class PartialsEvaluator {
       const std::function<const Value*(const Key&)>& valueAtT0,
       ReplayStats* stats = nullptr);
 
+  /// finish() in pieces: each call reads about `budgetBytes` of
+  /// window-log entry data or applies about half as many bytes of a read
+  /// diff's entries (see DiffMap::drain; an applied key also reads its
+  /// value at T0 and moves the aggregate), at least one entry, and adds
+  /// its work to `stats`.
+  /// Returns true once the series is complete; takeSeries() then hands
+  /// it over.  The log may take appends after T0 and trims between
+  /// calls; each call runs check() again.  A graft renumbers the log
+  /// under a diff being read, which starts that diff over, but history
+  /// it adds below T0 is missing from the fold: the caller starts over.
+  Result<bool> finishPart(
+      const log::WindowLog& log, hlc::Timestamp t0,
+      const std::function<const Value*(const Key&)>& valueAtT0,
+      uint64_t budgetBytes, ReplayStats* stats = nullptr);
+  std::vector<TemporalStep> takeSeries() { return std::move(series_); }
+
  private:
   void add(const Key& key, const Value& value);
+  /// Throws std::logic_error for a numeric value that was never added.
   void remove(const Key& key, const Value& value);
   PartialAggregate partial() const;
+  /// Start reading diff number `diffs_` of the grid walk.
+  void startDiff(hlc::Timestamp t0);
 
   SnapshotQuery query_;
   TemporalSpec spec_;
   size_t folded_ = 0;
+  // Finish state.  The grid is empty until the first finishPart call.
+  std::vector<hlc::Timestamp> grid_;
+  size_t diffs_ = 0;  ///< diffs applied; the first is the base diff
+  log::DiffScan scan_;
+  /// The read diff, drained into the overlay; empty while reading.
+  log::DiffMap applying_;
+  bool reading_ = true;
+  /// Keys a diff touched, with their value at the current grid point.
+  std::unordered_map<Key, OptValue> overlay_;
+  int64_t baseKeyDelta_ = 0;  ///< change in key count from the base diff
+  std::vector<TemporalStep> series_;
   // Exact-integer running aggregate over the currently-matching entries.
   // A histogram of numeric values keeps MIN/MAX correct when the extreme
   // entry is deleted; sums wrap in two's complement, so add/remove in any

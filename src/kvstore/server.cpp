@@ -39,6 +39,15 @@ VoldemortServer::VoldemortServer(NodeId id, runtime::ExecutionContext& ctx,
     wal_ = std::make_unique<log::WalJournal>();
   }
   memory_.setOnOutOfMemory([this] { crash(); });
+  snapshotStore_.setDisposer([this](core::LocalSnapshot&& snap) {
+    // Keep the larger state's nodes for the next copy; the rest is freed
+    // off this thread.
+    if (snap.state.size() > recycledState_.size()) {
+      std::swap(snap.state, recycledState_);
+      recycledAged_ = false;
+    }
+    ctx_->dispose(std::make_shared<core::LocalSnapshot>(std::move(snap)));
+  });
   ctx_->registerNode(id_, [this](sim::Message&& m) { onMessage(std::move(m)); });
   if (config_.archive.enabled) {
     archive_ = std::make_unique<log::LogArchive>();
@@ -69,6 +78,15 @@ void VoldemortServer::archiveTick() {
 }
 
 void VoldemortServer::checkpointTick() {
+  // A recycled state no copy took for a whole period is freed, so its
+  // memory serves other allocations again.
+  if (!recycledState_.empty() && activeSnapshots_.empty()) {
+    if (recycledAged_) {
+      ctx_->dispose(std::make_shared<std::unordered_map<Key, Value>>(
+          std::exchange(recycledState_, {})));
+    }
+    recycledAged_ = !recycledAged_;
+  }
   if (alive_) {
     // Fold the journal tail into an on-disk checkpoint of the window-log
     // so a restart replays only the appends made since this point.
@@ -546,7 +564,15 @@ void VoldemortServer::copyChunk(core::SnapshotId id) {
   uint64_t bytes = 0;
   const auto copy = [&](const Key& key, const Value& value) {
     bytes += key.size() + value.size();
-    active.stateAtCapture.try_emplace(key, value);
+    if (recycledState_.empty()) {
+      active.stateAtCapture.try_emplace(key, value);
+      return;
+    }
+    // Assigning into a removed snapshot's node reuses its allocations.
+    auto node = recycledState_.extract(recycledState_.begin());
+    node.key() = key;
+    node.mapped() = value;
+    active.stateAtCapture.insert(std::move(node));
   };
   store::BdbStore::ViewRead read;
   while ((read = active.view.read(config_.copyChunkBytes, copy)) ==
@@ -589,59 +615,90 @@ void VoldemortServer::snapshotCompaction(core::SnapshotId id) {
   if (it == activeSnapshots_.end()) return;
   ActiveSnapshot& active = it->second;
   active.stage = 1;
-
-  const log::WindowLog& wlog = retroscope_.getLog(kStoreLog);
-  log::DiffStats stats;
-  size_t archivedEntries = 0;
-  uint64_t archivedBytes = 0;
-
-  const auto computeDelta = [&]() -> Result<log::DiffMap> {
-    switch (active.request.kind) {
-      case core::SnapshotKind::kFull: {
-        // Roll the captured state back from captureTime to the target.
-        if (wlog.covers(active.request.target) || archive_ == nullptr) {
-          return wlog.diffBackward(active.captureTime, active.request.target,
-                                   &stats);
-        }
-        // Deep retrospection through the disk archive (§III-A).
-        log::ArchiveDiffStats astats;
-        auto diff = archive_->diffBackward(wlog, active.captureTime,
-                                           active.request.target, &astats);
-        if (diff.isOk()) {
-          stats = astats.live;
-          stats.keysInDiff = astats.keysInDiff;
-          stats.diffDataBytes = astats.diffDataBytes;
-          archivedEntries = astats.archivedEntriesTraversed;
-          archivedBytes = astats.archivedBytesRead;
-        }
-        return diff;
-      }
-      case core::SnapshotKind::kRolling:
-      case core::SnapshotKind::kIncremental: {
-        const core::LocalSnapshot* base =
-            active.request.baseId
-                ? snapshotStore_.find(*active.request.baseId)
-                : nullptr;
-        if (base == nullptr) {
-          return Status(StatusCode::kFailedPrecondition, "missing base");
-        }
-        if (active.request.target >= base->target) {
-          return wlog.diffForward(base->target, active.request.target,
-                                  &stats);
-        }
-        return wlog.diffBackward(base->target, active.request.target, &stats);
-      }
+  using Direction = log::DiffScan::Direction;
+  const hlc::Timestamp target = active.request.target;
+  if (active.request.kind == core::SnapshotKind::kFull) {
+    if (!retroscope_.getLog(kStoreLog).covers(target) && archive_ != nullptr) {
+      compactThroughArchive(id);
+      return;
     }
-    return Status(StatusCode::kInvalidArgument, "unknown snapshot kind");
-  };
-  Result<log::DiffMap> diff = computeDelta();
-  if (diff.isOk() && active.request.kind != core::SnapshotKind::kFull &&
-      captureObserver_) {
+    // Roll the captured state back from captureTime to the target.
+    active.scan = log::DiffScan(Direction::kBackward, target,
+                                active.captureTime);
+  } else {
+    const core::LocalSnapshot* base =
+        active.request.baseId ? snapshotStore_.find(*active.request.baseId)
+                              : nullptr;
+    if (base == nullptr) {
+      finishSnapshot(id, core::LocalSnapshotStatus::kFailed, 0);
+      return;
+    }
+    active.scan = target >= base->target
+                      ? log::DiffScan(Direction::kForward, base->target, target)
+                      : log::DiffScan(Direction::kBackward, target,
+                                      base->target);
+  }
+  compactChunk(id);
+}
+
+namespace {
+/// Modelled compaction CPU: the entries the diff engine materialized and
+/// the index/key-chain probes it spent finding them (much cheaper per
+/// unit).
+TimeMicros compactionMicros(const log::DiffStats& stats,
+                            const ServerConfig& config) {
+  return static_cast<TimeMicros>(std::llround(
+      static_cast<double>(stats.entriesTraversed) *
+          config.compactionMicrosPerEntry +
+      static_cast<double>(stats.indexSeeks + stats.keysExamined) *
+          config.indexProbeMicros));
+}
+}  // namespace
+
+void VoldemortServer::compactChunk(core::SnapshotId id) {
+  auto it = activeSnapshots_.find(id);
+  if (it == activeSnapshots_.end()) return;
+  ActiveSnapshot& active = it->second;
+  log::DiffStats stats;
+  auto visited = retroscope_.getLog(kStoreLog).advance(
+      active.scan, config_.copyChunkBytes, &stats);
+  if (!visited.isOk()) {
+    finishSnapshot(id,
+                   visited.status().code() == StatusCode::kOutOfRange
+                       ? core::LocalSnapshotStatus::kOutOfReach
+                       : core::LocalSnapshotStatus::kFailed,
+                   0);
+    return;
+  }
+  diffTotals_.accumulate(stats);
+  active.deltaStats.accumulate(stats);
+  const bool done = active.scan.done();
+  if (done) {
+    ++diffCalls_;
+    active.delta = std::move(active.scan.diff());
     // Incremental/rolling content is fixed here, when the delta is read
     // out of the window-log (full snapshots were fixed at state capture).
-    captureObserver_(id);
+    if (active.request.kind != core::SnapshotKind::kFull && captureObserver_) {
+      captureObserver_(id);
+    }
   }
+  executor_.submit(compactionMicros(stats, config_),
+                   [this, id, done, inc = incarnation_] {
+                     if (incarnation_ != inc) return;
+                     if (done) {
+                       snapshotApply(id);
+                     } else {
+                       compactChunk(id);
+                     }
+                   });
+}
 
+void VoldemortServer::compactThroughArchive(core::SnapshotId id) {
+  ActiveSnapshot& active = activeSnapshots_.at(id);
+  log::ArchiveDiffStats astats;
+  auto diff = archive_->diffBackward(retroscope_.getLog(kStoreLog),
+                                     active.captureTime, active.request.target,
+                                     &astats);
   if (!diff.isOk()) {
     finishSnapshot(id,
                    diff.status().code() == StatusCode::kOutOfRange
@@ -650,98 +707,133 @@ void VoldemortServer::snapshotCompaction(core::SnapshotId id) {
                    0);
     return;
   }
-
+  log::DiffStats stats = astats.live;
+  stats.keysInDiff = astats.keysInDiff;
+  stats.diffDataBytes = astats.diffDataBytes;
   diffTotals_.accumulate(stats);
   ++diffCalls_;
-
-  // Charge the compaction CPU: the entries the diff engine actually
-  // materialized, the index/key-chain probes it spent finding them
-  // (much cheaper per unit), plus the slower read of any archived
-  // entries (decode + page-in).  Then move to the application stage;
-  // archived history is paged in from disk first.
+  active.deltaStats = stats;
+  active.delta = std::move(diff).value();
+  // Archived entries cost a slower read (decode + page-in), and are paged
+  // in from disk before the application stage.
   constexpr double kArchivedEntryReadMicros = 3.0;
-  const auto cost = static_cast<TimeMicros>(std::llround(
-      static_cast<double>(stats.entriesTraversed) *
-          config_.compactionMicrosPerEntry +
-      static_cast<double>(stats.indexSeeks + stats.keysExamined) *
-          config_.indexProbeMicros +
-      static_cast<double>(archivedEntries) * kArchivedEntryReadMicros));
-  auto proceed = [this, id, cost, diff = std::move(diff).value(),
-                  stats]() mutable {
-    executor_.submit(cost,
-                     [this, id, diff = std::move(diff), stats]() mutable {
-                       snapshotApply(id, std::move(diff), stats);
-                     });
+  const TimeMicros cost =
+      compactionMicros(stats, config_) +
+      static_cast<TimeMicros>(std::llround(
+          static_cast<double>(astats.archivedEntriesTraversed) *
+          kArchivedEntryReadMicros));
+  auto proceed = [this, id, cost, inc = incarnation_] {
+    executor_.submit(cost, [this, id, inc] {
+      if (incarnation_ == inc) snapshotApply(id);
+    });
   };
-  if (archivedBytes > 0) {
-    disk_->read(archivedBytes, std::move(proceed));
+  if (astats.archivedBytesRead > 0) {
+    disk_->read(astats.archivedBytesRead, std::move(proceed));
   } else {
     proceed();
   }
 }
 
-void VoldemortServer::snapshotApply(core::SnapshotId id, log::DiffMap diff,
-                                    log::DiffStats stats) {
+void VoldemortServer::snapshotApply(core::SnapshotId id) {
   auto it = activeSnapshots_.find(id);
   if (it == activeSnapshots_.end()) return;
   ActiveSnapshot& active = it->second;
   active.stage = 2;
-
-  const auto cpuCost = static_cast<TimeMicros>(std::llround(
-      static_cast<double>(stats.keysInDiff) * config_.applyMicrosPerEntry));
-  const uint64_t diskBytes = stats.diffDataBytes;
-
-  const auto complete = [this, id, diff = std::move(diff), diskBytes]() mutable {
-    auto jt = activeSnapshots_.find(id);
-    if (jt == activeSnapshots_.end()) return;
-    ActiveSnapshot& act = jt->second;
-    act.stage = 3;
-
-    core::LocalSnapshot snap;
-    snap.id = act.request.id;
-    snap.kind = act.request.kind;
-    snap.target = act.request.target;
-    snap.node = id_;
-    snap.baseId = act.request.baseId;
-
-    size_t persisted = 0;
-    switch (act.request.kind) {
-      case core::SnapshotKind::kFull:
-        snap.state = std::move(act.stateAtCapture);
-        diff.applyTo(snap.state);
-        for (const Key& key : act.graftedSinceCapture) snap.state.erase(key);
-        // On disk: the copied database files plus the applied changes.
-        snap.persistedBytes = bdb_->liveDataBytes() + diskBytes;
-        persisted = snap.persistedBytes;
-        snapshotStore_.put(std::move(snap));
-        break;
-      case core::SnapshotKind::kIncremental:
-        // Store only the delta; application deferred to retrieval time.
-        snap.delta = std::move(diff);
-        snap.persistedBytes = diskBytes;
-        persisted = diskBytes;
-        snapshotStore_.put(std::move(snap));
-        break;
-      case core::SnapshotKind::kRolling: {
-        const Status s = snapshotStore_.roll(*act.request.baseId,
-                                             act.request.id,
-                                             act.request.target, diff);
-        if (!s.isOk()) {
-          finishSnapshot(id, core::LocalSnapshotStatus::kFailed, 0);
-          return;
-        }
-        persisted = diskBytes;
-        break;
-      }
-    }
-    finishSnapshot(id, core::LocalSnapshotStatus::kComplete, persisted);
-  };
-
-  // Application writes the computed differences to the snapshot copy on
-  // disk, and costs CPU per modified key.
-  executor_.submit(cpuCost, [this, diskBytes, complete = std::move(complete)]() mutable {
-    disk_->write(diskBytes, std::move(complete));
+  if (active.request.kind == core::SnapshotKind::kFull) {
+    applyChunk(id);
+    return;
+  }
+  // An incremental snapshot stores its delta and a rolling one applies it
+  // to its base when stored; the CPU is charged per modified key here.
+  const auto cost = static_cast<TimeMicros>(
+      std::llround(static_cast<double>(active.deltaStats.keysInDiff) *
+                   config_.applyMicrosPerEntry));
+  executor_.submit(cost, [this, id, inc = incarnation_] {
+    if (incarnation_ == inc) writeSnapshot(id);
   });
+}
+
+void VoldemortServer::applyChunk(core::SnapshotId id) {
+  auto it = activeSnapshots_.find(id);
+  if (it == activeSnapshots_.end()) return;
+  ActiveSnapshot& active = it->second;
+  size_t keys = 0;
+  active.delta.drain(config_.copyChunkBytes, [&](Key&& key, OptValue&& value) {
+    ++keys;
+    if (value) {
+      active.stateAtCapture.insert_or_assign(std::move(key),
+                                             std::move(*value));
+    } else {
+      active.stateAtCapture.erase(key);
+    }
+  });
+  const auto cost = static_cast<TimeMicros>(std::llround(
+      static_cast<double>(keys) * config_.applyMicrosPerEntry));
+  const bool done = active.delta.empty();
+  executor_.submit(cost, [this, id, done, inc = incarnation_] {
+    if (incarnation_ != inc) return;
+    if (done) {
+      writeSnapshot(id);
+    } else {
+      applyChunk(id);
+    }
+  });
+}
+
+void VoldemortServer::writeSnapshot(core::SnapshotId id) {
+  auto it = activeSnapshots_.find(id);
+  if (it == activeSnapshots_.end()) return;
+  // Application writes the computed differences to the snapshot copy on
+  // disk.
+  disk_->write(it->second.deltaStats.diffDataBytes,
+               [this, id, inc = incarnation_] {
+                 if (incarnation_ == inc) storeSnapshot(id);
+               });
+}
+
+void VoldemortServer::storeSnapshot(core::SnapshotId id) {
+  auto it = activeSnapshots_.find(id);
+  if (it == activeSnapshots_.end()) return;
+  ActiveSnapshot& act = it->second;
+  act.stage = 3;
+
+  core::LocalSnapshot snap;
+  snap.id = act.request.id;
+  snap.kind = act.request.kind;
+  snap.target = act.request.target;
+  snap.node = id_;
+  snap.baseId = act.request.baseId;
+
+  const size_t diskBytes = act.deltaStats.diffDataBytes;
+  size_t persisted = 0;
+  switch (act.request.kind) {
+    case core::SnapshotKind::kFull:
+      snap.state = std::move(act.stateAtCapture);
+      for (const Key& key : act.graftedSinceCapture) snap.state.erase(key);
+      // On disk: the copied database files plus the applied changes.
+      snap.persistedBytes = bdb_->liveDataBytes() + diskBytes;
+      persisted = snap.persistedBytes;
+      snapshotStore_.put(std::move(snap));
+      break;
+    case core::SnapshotKind::kIncremental:
+      // Store only the delta; application deferred to retrieval time.
+      snap.delta = std::move(act.delta);
+      snap.persistedBytes = diskBytes;
+      persisted = diskBytes;
+      snapshotStore_.put(std::move(snap));
+      break;
+    case core::SnapshotKind::kRolling: {
+      const Status s = snapshotStore_.roll(*act.request.baseId, act.request.id,
+                                           act.request.target, act.delta);
+      if (!s.isOk()) {
+        finishSnapshot(id, core::LocalSnapshotStatus::kFailed, 0);
+        return;
+      }
+      persisted = diskBytes;
+      break;
+    }
+  }
+  finishSnapshot(id, core::LocalSnapshotStatus::kComplete, persisted);
 }
 
 void VoldemortServer::finishSnapshot(core::SnapshotId id,
@@ -1165,6 +1257,7 @@ void VoldemortServer::openQueryView(ActiveQuery& q, hlc::Timestamp t0) {
   q.t0 = t0;
   q.grafts = historyGrafts_;
   q.eval.reset();
+  q.stats = {};
 }
 
 void VoldemortServer::foldQueryChunk(uint64_t key) {
@@ -1202,26 +1295,24 @@ void VoldemortServer::finishQuery(uint64_t key) {
     return;
   }
   core::ReplayStats stats;
-  auto steps = q.eval.finish(
+  auto done = q.eval.finishPart(
       retroscope_.getLog(kStoreLog), q.t0,
-      [&q](const Key& k) { return q.view.valueAtOpen(k); }, &stats);
-  const NodeId from = q.from;
-  QueryReplyBody reply;
-  reply.queryId = q.queryId;
-  activeQueries_.erase(it);
-  if (!steps.isOk()) {
-    reply.statusCode = steps.status().code();
-    reply.reason = steps.status().message();
+      [&q](const Key& k) { return q.view.valueAtOpen(k); },
+      config_.copyChunkBytes, &stats);
+  if (!done.isOk()) {
+    QueryReplyBody reply;
+    reply.queryId = q.queryId;
+    reply.statusCode = done.status().code();
+    reply.reason = done.status().message();
+    const NodeId from = q.from;
+    activeQueries_.erase(it);
     send(from, kQueryReply, [&](ByteWriter& w) { reply.writeTo(w); });
     return;
   }
   queryReplayTotals_.accumulate(stats);
   diffTotals_.accumulate(stats.diffTotals);
   diffCalls_ += stats.diffCalls;
-
-  reply.steps = std::move(steps.value());
-  reply.baseStateKeys = stats.baseStateKeys;
-  reply.replayedKeys = stats.replayedKeys;
+  q.stats.accumulate(stats);
 
   // Charge CPU proportional to the replay actually performed: the base
   // state's keys, every diff entry applied, and the diff engine's
@@ -1236,6 +1327,22 @@ void VoldemortServer::finishQuery(uint64_t key) {
           static_cast<double>(stats.diffTotals.indexSeeks +
                               stats.diffTotals.keysExamined));
   const uint64_t inc = incarnation_;
+  if (!done.value()) {
+    executor_.submit(cost, [this, key, inc] {
+      if (incarnation_ == inc) finishQuery(key);
+    });
+    return;
+  }
+  QueryReplyBody reply;
+  reply.queryId = q.queryId;
+  reply.steps = q.eval.takeSeries();
+  reply.baseStateKeys = q.stats.baseStateKeys;
+  reply.replayedKeys = q.stats.replayedKeys;
+  const NodeId from = q.from;
+  // The overlay holds a value per key the diffs touched: free it off the
+  // node thread, like a removed snapshot.
+  ctx_->dispose(std::make_shared<core::PartialsEvaluator>(std::move(q.eval)));
+  activeQueries_.erase(it);
   executor_.submit(cost, [this, inc, from, reply = std::move(reply)] {
     if (!alive_ || incarnation_ != inc) return;
     send(from, kQueryReply, [&](ByteWriter& w) { reply.writeTo(w); });
@@ -1778,7 +1885,12 @@ bool VoldemortServer::applyTransferItem(const TransferItemWire& item,
     *graftedEntries += wlog.graftHistory(item.history, sourceFloor);
     ++historyGrafts_;
     for (auto& [sid, active] : activeSnapshots_) {
-      if (active.view.isOpen()) active.graftedSinceCapture.push_back(item.key);
+      // The compaction scan restarts under the graft and would roll the
+      // key into the captured state.
+      if (active.request.kind == core::SnapshotKind::kFull &&
+          active.stage < 2) {
+        active.graftedSinceCapture.push_back(item.key);
+      }
     }
     if (rebalanceFloor_ < sourceFloor) rebalanceFloor_ = sourceFloor;
     bdb_->put(item.key, item.value);

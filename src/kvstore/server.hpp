@@ -69,8 +69,15 @@ struct ServerConfig {
   /// CPU charged while copying the database, per MB (checksumming,
   /// page-cache churn).
   double copyCpuMicrosPerMB = 3200;
-  /// Key + value bytes one executor task copies for a full snapshot or
-  /// folds for a temporal query; foreground ops run between chunks.
+  /// Bytes of work in one executor task of a snapshot or a temporal
+  /// query; foreground ops run between chunks.  The budget counts the
+  /// key + value bytes a full snapshot copies or a query folds, the key +
+  /// old + new value bytes of the window-log entries a compaction or a
+  /// query's replay walks (a key-chain probe counts each probed key and
+  /// twice each entry it finds), and the
+  /// key + twice the value bytes of each delta entry a snapshot applies
+  /// (it replaces a value); a query's replay counts an applied entry
+  /// twice that.
   uint64_t copyChunkBytes = 256ull << 10;
   double compactionMicrosPerEntry = 0.4;
   double applyMicrosPerEntry = 1.0;
@@ -302,11 +309,17 @@ class VoldemortServer {
     /// copied from `view` one chunk per executor task.
     std::unordered_map<Key, Value> stateAtCapture;
     store::BdbStore::View view;
-    /// Keys grafted while the state was copying: unknown here at
-    /// captureTime, so they stay out of the snapshot even though their
-    /// grafted history reaches below it.
+    /// Keys grafted while the state was copying or compacting: unknown
+    /// here at captureTime, so they stay out of the snapshot even though
+    /// their grafted history reaches below it.
     std::vector<Key> graftedSinceCapture;
     hlc::Timestamp captureTime;
+    /// Compaction reads the delta through this scan one chunk per task.
+    log::DiffScan scan;
+    /// The computed delta; a full snapshot drains it into stateAtCapture
+    /// one chunk per task.
+    log::DiffMap delta;
+    log::DiffStats deltaStats;
     /// Copy-stage parts still running: the hot backup's disk copy and
     /// the chunked state copy.
     uint8_t copyPartsLeft = 0;
@@ -320,6 +333,8 @@ class VoldemortServer {
     NodeId from = 0;
     uint64_t queryId = 0;
     core::PartialsEvaluator eval;
+    /// The finish's work so far (the reply reports its key counts).
+    core::ReplayStats stats;
     store::BdbStore::View view;
     hlc::Timestamp t0;
     /// historyGrafts_ when the view opened.
@@ -376,9 +391,19 @@ class VoldemortServer {
   /// CPU and queue the next chunk.
   void copyChunk(core::SnapshotId id);
   void copyPartDone(core::SnapshotId id);
+  /// Start the compaction stage: scan the window-log for the delta.
   void snapshotCompaction(core::SnapshotId id);
-  void snapshotApply(core::SnapshotId id, log::DiffMap diff,
-                     log::DiffStats stats);
+  /// Scan the next chunk of the delta, then charge its CPU and queue the
+  /// next chunk or, after the last, the application stage.
+  void compactChunk(core::SnapshotId id);
+  /// Deep retrospection through the disk archive, in one task.
+  void compactThroughArchive(core::SnapshotId id);
+  void snapshotApply(core::SnapshotId id);
+  /// Drain the next chunk of a full snapshot's delta into its state.
+  void applyChunk(core::SnapshotId id);
+  /// Write the applied differences to the snapshot copy, then store it.
+  void writeSnapshot(core::SnapshotId id);
+  void storeSnapshot(core::SnapshotId id);
   void finishSnapshot(core::SnapshotId id, core::LocalSnapshotStatus status,
                       size_t persistedBytes);
 
@@ -387,7 +412,8 @@ class VoldemortServer {
   /// Fold the next chunk of the store into the query, then queue the
   /// next chunk or, after the last, finishQuery.
   void foldQueryChunk(uint64_t key);
-  /// Replay the grid and reply.
+  /// Replay the next chunk of the grid, then queue the next chunk or,
+  /// after the last, the reply.
   void finishQuery(uint64_t key);
 
   void updateMemoryModel();
@@ -514,6 +540,11 @@ class VoldemortServer {
   Counters storageCounters_;
 
   std::map<core::SnapshotId, ActiveSnapshot> activeSnapshots_;
+  /// The largest removed snapshot's state: a full snapshot's copy takes
+  /// its nodes instead of allocating (and a remove freeing) one per key.
+  /// The checkpoint daemon frees it after a whole period unused.
+  std::unordered_map<Key, Value> recycledState_;
+  bool recycledAged_ = false;
   /// Temporal queries still folding, by queriesServed_ at arrival.
   std::map<uint64_t, ActiveQuery> activeQueries_;
   /// Rebalance grafts so far: a graft adds history before a running

@@ -35,6 +35,19 @@ void DiffMap::applyTo(std::unordered_map<Key, Value>& state) const {
   }
 }
 
+uint64_t DiffMap::drain(uint64_t budgetBytes,
+                        const std::function<void(Key&&, OptValue&&)>& sink) {
+  uint64_t bytes = 0;
+  while (!map_.empty() && (bytes < budgetBytes || bytes == 0)) {
+    auto node = map_.extract(map_.begin());
+    const size_t n = entryBytes(node.key(), node.mapped());
+    dataBytes_ -= n;
+    bytes += n + (node.mapped() ? node.mapped()->size() : 0);
+    sink(std::move(node.key()), std::move(node.mapped()));
+  }
+  return bytes;
+}
+
 void DiffMap::compose(const DiffMap& later) {
   for (const auto& [key, value] : later.map_) set(key, value);
 }

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <unordered_map>
 
 #include "common/types.hpp"
@@ -34,6 +36,15 @@ class DiffMap {
 
   /// Apply this diff onto a materialized key-value state.
   void applyTo(std::unordered_map<Key, Value>& state) const;
+
+  /// Remove entries and hand them to `sink`, about `budgetBytes` (at
+  /// least one entry while any remain), in no fixed order; returns the
+  /// bytes handed over.  An entry counts its key and twice its value, as
+  /// a window-log entry counts its old and new values: applying it
+  /// replaces the value it finds.  A large diff is applied this way one
+  /// bounded task at a time.
+  uint64_t drain(uint64_t budgetBytes,
+                 const std::function<void(Key&&, OptValue&&)>& sink);
 
   /// Compose: apply `later` on top of this diff (entries in `later`
   /// overwrite).  Used to merge incremental snapshot deltas in a chain.

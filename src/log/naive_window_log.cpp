@@ -166,6 +166,21 @@ Result<DiffMap> NaiveWindowLog::diffBackward(hlc::Timestamp end,
   return diff;
 }
 
+size_t NaiveWindowLog::graftHistory(std::vector<Entry> history,
+                                    hlc::Timestamp sourceFloor) {
+  if (floor_ < sourceFloor) floor_ = sourceFloor;
+  for (Entry& e : history) {
+    // After every held entry with ts <= e.ts: existing entries first on
+    // ties, grafted ones in their given order.
+    const auto at = std::upper_bound(
+        entries_.begin(), entries_.end(), e.ts,
+        [](hlc::Timestamp v, const Entry& x) { return v < x.ts; });
+    accountedBytes_ += accountedEntryBytes(e, config_);
+    entries_.insert(at, std::move(e));
+  }
+  return history.size();
+}
+
 void NaiveWindowLog::setConfig(WindowLogConfig config) {
   config_ = config;
   accountedBytes_ = 0;

@@ -46,6 +46,8 @@ class NaiveWindowLog {
 
   void truncateThrough(hlc::Timestamp t);
   void resetForRecovery(hlc::Timestamp floor);
+  /// Same contract as WindowLog::graftHistory.
+  size_t graftHistory(std::vector<Entry> history, hlc::Timestamp sourceFloor);
 
   const WindowLogConfig& config() const { return config_; }
   void setConfig(WindowLogConfig config);

@@ -1,6 +1,7 @@
 #include "log/window_log.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 
 namespace retro::log {
@@ -97,6 +98,7 @@ void WindowLog::dropBelowSeq(uint64_t seq) {
 }
 
 void WindowLog::resetForRecovery(hlc::Timestamp floor) {
+  ++renumberings_;
   trimmed_ += entries_.size();
   baseSeq_ += entries_.size();
   entries_.clear();
@@ -135,11 +137,7 @@ size_t WindowLog::upperBoundOffset(hlc::Timestamp t, size_t* seeks) const {
 
 Result<DiffMap> WindowLog::diffToPast(hlc::Timestamp timeInPast,
                                       DiffStats* stats) const {
-  if (!covers(timeInPast)) {
-    return Status(StatusCode::kOutOfRange,
-                  "window-log no longer reaches " + timeInPast.toString() +
-                      " (floor " + floor_.toString() + ")");
-  }
+  if (!covers(timeInPast)) return outOfRange(timeInPast);
   DiffStats local;
   const size_t boundary = upperBoundOffset(timeInPast, &local.indexSeeks);
   const size_t inRange = entries_.size() - boundary;
@@ -179,97 +177,144 @@ Result<DiffMap> WindowLog::diffToPast(hlc::Timestamp timeInPast,
 Result<DiffMap> WindowLog::diffForward(hlc::Timestamp start,
                                        hlc::Timestamp end,
                                        DiffStats* stats) const {
-  if (end < start) {
-    return Status(StatusCode::kInvalidArgument,
-                  "diffForward: end precedes start");
-  }
-  if (!covers(start)) {
-    return Status(StatusCode::kOutOfRange,
-                  "window-log no longer reaches " + start.toString() +
-                      " (floor " + floor_.toString() + ")");
-  }
-  DiffStats local;
-  const size_t lo = upperBoundOffset(start, &local.indexSeeks);
-  const size_t hi = upperBoundOffset(end, &local.indexSeeks);
-  const uint64_t loSeq = baseSeq_ + lo;
-  const uint64_t hiSeq = baseSeq_ + hi;
-  DiffMap diff;
-  if (hi - lo <= keyChains_.size()) {
-    // Bounded scan over start < ts <= end; the last write per key wins,
-    // producing the state delta start -> end.  Walking newest-first
-    // copies each surviving value once.
-    for (size_t i = hi; i > lo; --i) {
-      const Entry& e = entries_[i - 1];
-      diff.setIfAbsent(e.key, e.newValue);
-      ++local.entriesTraversed;
-    }
-  } else {
-    // Per key: the *last* write inside (loSeq, hiSeq) wins.
-    local.usedKeyChains = true;
-    for (const auto& [key, chain] : keyChains_) {
-      ++local.keysExamined;
-      if (chain.front() >= hiSeq || chain.back() < loSeq) continue;
-      auto it = std::lower_bound(chain.begin(), chain.end(), hiSeq);
-      ++local.indexSeeks;
-      if (it == chain.begin()) continue;
-      const uint64_t seq = *std::prev(it);
-      if (seq < loSeq) continue;  // key's last write predates the range
-      const Entry& e = entries_[static_cast<size_t>(seq - baseSeq_)];
-      diff.set(key, e.newValue);
-      ++local.entriesTraversed;
-    }
-  }
-  local.keysInDiff = diff.size();
-  local.diffDataBytes = diff.dataBytes();
-  if (stats) *stats = local;
-  return diff;
+  return scanToEnd(DiffScan::Direction::kForward, start, end, stats);
 }
 
 Result<DiffMap> WindowLog::diffBackward(hlc::Timestamp end,
                                         hlc::Timestamp start,
                                         DiffStats* stats) const {
-  if (end < start) {
-    return Status(StatusCode::kInvalidArgument,
-                  "diffBackward: end precedes start");
-  }
-  if (!covers(start)) {
-    return Status(StatusCode::kOutOfRange,
-                  "window-log no longer reaches " + start.toString() +
-                      " (floor " + floor_.toString() + ")");
-  }
+  return scanToEnd(DiffScan::Direction::kBackward, start, end, stats);
+}
+
+Result<DiffMap> WindowLog::scanToEnd(DiffScan::Direction direction,
+                                     hlc::Timestamp start, hlc::Timestamp end,
+                                     DiffStats* stats) const {
+  DiffScan scan(direction, start, end);
   DiffStats local;
-  const size_t lo = upperBoundOffset(start, &local.indexSeeks);
-  const size_t hi = upperBoundOffset(end, &local.indexSeeks);
-  const uint64_t loSeq = baseSeq_ + lo;
-  const uint64_t hiSeq = baseSeq_ + hi;
-  DiffMap diff;
-  if (hi - lo <= keyChains_.size()) {
-    // Bounded scan over start < ts <= end; the earliest entry per key
-    // wins (its oldValue is the value at `start`).  Walking oldest-first
-    // copies each surviving value once.
-    for (size_t i = lo; i < hi; ++i) {
-      const Entry& e = entries_[i];
-      diff.setIfAbsent(e.key, e.oldValue);
-      ++local.entriesTraversed;
-    }
-  } else {
-    // Per key: the *earliest* write inside (loSeq, hiSeq) wins.
-    local.usedKeyChains = true;
-    for (const auto& [key, chain] : keyChains_) {
+  auto visited = advance(scan, UINT64_MAX, &local);
+  if (!visited.isOk()) return visited.status();
+  if (stats) *stats = local;
+  return std::move(scan.diff_);
+}
+
+Result<uint64_t> WindowLog::advance(DiffScan& scan, uint64_t budgetBytes,
+                                    DiffStats* stats) const {
+  const bool forward = scan.direction_ == DiffScan::Direction::kForward;
+  if (scan.end_ < scan.start_) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(forward ? "diffForward" : "diffBackward") +
+                      ": end precedes start");
+  }
+  if (!covers(scan.start_)) return outOfRange(scan.start_);
+  if (scan.done_) return uint64_t{0};
+  DiffStats local;
+  if (scan.positioned_ && scan.renumberings_ != renumberings_) {
+    // The sequence range no longer names the same entries: start over.
+    ++scan.restarts_;
+    scan.positioned_ = false;
+    scan.diff_ = DiffMap{};
+  }
+  if (!scan.positioned_) {
+    const size_t lo = upperBoundOffset(scan.start_, &local.indexSeeks);
+    const size_t hi = upperBoundOffset(scan.end_, &local.indexSeeks);
+    scan.loSeq_ = baseSeq_ + lo;
+    scan.hiSeq_ = baseSeq_ + hi;
+    scan.byKey_ = hi - lo > keyChains_.size();
+    scan.cursor_ = scan.byKey_ ? 0 : forward ? scan.hiSeq_ : scan.loSeq_;
+    scan.buckets_ = keyChains_.bucket_count();
+    scan.bucketDone_.clear();
+    scan.renumberings_ = renumberings_;
+    scan.positioned_ = true;
+  }
+  // While the floor stays at or below the start, trimming removes only
+  // entries below the range, so the remaining sequences stay valid.
+  const uint64_t bytes = scan.byKey_ ? probeKeyChains(scan, budgetBytes, local)
+                                     : walkEntries(scan, budgetBytes, local);
+  if (scan.done_) {
+    local.keysInDiff = scan.diff_.size();
+    local.diffDataBytes = scan.diff_.dataBytes();
+  }
+  if (stats) stats->accumulate(local);
+  return bytes;
+}
+
+uint64_t WindowLog::walkEntries(DiffScan& scan, uint64_t budgetBytes,
+                                DiffStats& local) const {
+  // Backward: oldest-first, the earliest entry per key wins (its oldValue
+  // is the value at start).  Forward: newest-first, the last write wins.
+  const bool forward = scan.direction_ == DiffScan::Direction::kForward;
+  const uint64_t stop = forward ? scan.loSeq_ : scan.hiSeq_;
+  uint64_t bytes = 0;
+  while (scan.cursor_ != stop && (bytes < budgetBytes || bytes == 0)) {
+    if (forward) --scan.cursor_;
+    const Entry& e = entries_[static_cast<size_t>(scan.cursor_ - baseSeq_)];
+    if (!forward) ++scan.cursor_;
+    scan.diff_.setIfAbsent(e.key, forward ? e.newValue : e.oldValue);
+    bytes += e.dataBytes();
+    ++local.entriesTraversed;
+  }
+  scan.done_ = scan.cursor_ == stop;
+  return bytes;
+}
+
+uint64_t WindowLog::probeKeyChains(DiffScan& scan, uint64_t budgetBytes,
+                                   DiffStats& local) const {
+  // Per key, binary-search its chain for the earliest (backward) or last
+  // (forward) write inside [loSeq, hiSeq): one entry visited per
+  // surviving key instead of every entry in the range.  Keys are probed
+  // in bucket order, so a scan resumes at a bucket index; keys inserted
+  // since then write only past hiSeq, and keys erased since then had no
+  // entry left in range.
+  const bool forward = scan.direction_ == DiffScan::Direction::kForward;
+  local.usedKeyChains = true;
+  if (keyChains_.bucket_count() != scan.buckets_) {
+    // A rehash moved keys between buckets: probe every key again (those
+    // already in the diff keep their values).
+    scan.cursor_ = 0;
+    scan.buckets_ = keyChains_.bucket_count();
+    scan.bucketDone_.clear();
+  }
+  std::vector<Key>& done = scan.bucketDone_;
+  uint64_t bytes = 0;
+  for (; scan.cursor_ < scan.buckets_; ++scan.cursor_, done.clear()) {
+    const size_t bucket = static_cast<size_t>(scan.cursor_);
+    for (auto it = keyChains_.begin(bucket); it != keyChains_.end(bucket);
+         ++it) {
+      const auto& [key, chain] = *it;
+      if (std::find(done.begin(), done.end(), key) != done.end()) continue;
+      if (bytes >= budgetBytes && bytes > 0) return bytes;
+      done.push_back(key);
+      bytes += key.size();
       ++local.keysExamined;
-      if (chain.front() >= hiSeq || chain.back() < loSeq) continue;
-      auto it = std::lower_bound(chain.begin(), chain.end(), loSeq);
+      if (chain.front() >= scan.hiSeq_ || chain.back() < scan.loSeq_) {
+        continue;
+      }
+      auto at = std::lower_bound(chain.begin(), chain.end(),
+                                 forward ? scan.hiSeq_ : scan.loSeq_);
       ++local.indexSeeks;
-      if (it == chain.end() || *it >= hiSeq) continue;
-      const Entry& e = entries_[static_cast<size_t>(*it - baseSeq_)];
-      diff.set(key, e.oldValue);
+      if (forward) {
+        if (at == chain.begin() || *std::prev(at) < scan.loSeq_) continue;
+        --at;
+      } else if (at == chain.end() || *at >= scan.hiSeq_) {
+        continue;
+      }
+      const Entry& e = entries_[static_cast<size_t>(*at - baseSeq_)];
+      scan.diff_.setIfAbsent(key, forward ? e.newValue : e.oldValue);
+      // Reached through its chain at a random position, where a walk
+      // streams entries and mostly finds their keys already in the
+      // diff: a hit counts its entry twice.
+      bytes += 2 * e.dataBytes();
       ++local.entriesTraversed;
     }
   }
-  local.keysInDiff = diff.size();
-  local.diffDataBytes = diff.dataBytes();
-  if (stats) *stats = local;
-  return diff;
+  scan.done_ = true;
+  return bytes;
+}
+
+Status WindowLog::outOfRange(hlc::Timestamp t) const {
+  return Status(StatusCode::kOutOfRange,
+                "window-log no longer reaches " + t.toString() + " (floor " +
+                    floor_.toString() + ")");
 }
 
 void WindowLog::setConfig(WindowLogConfig config) {
@@ -334,6 +379,7 @@ size_t WindowLog::graftHistory(std::vector<Entry> history,
   }
   entries_ = std::move(merged);
   rebuildIndex();
+  ++renumberings_;
   return history.size();
 }
 

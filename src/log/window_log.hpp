@@ -18,10 +18,14 @@
 //     per key that survives operation-shadowing compaction instead of
 //     every entry in the range.
 //
-// Each diff call picks the cheaper of the two strategies (bounded scan
-// vs. key-chain probing) from the range size and the live key count;
-// either way the result is byte-identical to the naive linear walk
-// (tests/test_window_log_index.cpp pins this over randomized histories).
+// Each diff picks the cheaper of the two strategies (bounded scan vs.
+// key-chain probing) from the range size and the live key count.
+// diffBackward and diffForward are a DiffScan run to the end: a scan of
+// a sequence range that a caller can also advance a budget at a time,
+// one bounded task each, while the log keeps changing between calls.
+// Either way the result is byte-identical to the naive linear walk
+// (tests/test_window_log_index.cpp pins this over randomized
+// histories).
 #pragma once
 
 #include <deque>
@@ -77,6 +81,48 @@ struct DiffStats {
   }
 };
 
+/// A diff over the entries with start < ts <= end, built a budget at a
+/// time by WindowLog::advance().  A backward scan keeps each key's
+/// earliest oldValue in range: applied to the state at `end` it gives
+/// the state at `start`.  A forward scan keeps each key's last newValue
+/// in range: applied to the state at `start` it gives the state at
+/// `end`.  Like diffToPast, a scan walks the range's entries, or probes
+/// each live key's chain when the range is longer than the live key
+/// count; either way it copies each surviving value once.
+class DiffScan {
+ public:
+  enum class Direction : uint8_t { kBackward, kForward };
+
+  DiffScan() = default;
+  DiffScan(Direction direction, hlc::Timestamp start, hlc::Timestamp end)
+      : direction_(direction), start_(start), end_(end) {}
+
+  bool done() const { return done_; }
+  /// The diff so far; complete once done().
+  DiffMap& diff() { return diff_; }
+  /// Times a renumbered log started this scan over.
+  uint64_t restarts() const { return restarts_; }
+
+ private:
+  friend class WindowLog;
+  Direction direction_ = Direction::kBackward;
+  hlc::Timestamp start_;
+  hlc::Timestamp end_;
+  bool positioned_ = false;
+  bool done_ = false;
+  bool byKey_ = false;  ///< probing key chains rather than walking entries
+  uint64_t renumberings_ = 0;  ///< the log's count when positioned
+  uint64_t loSeq_ = 0;         ///< first sequence in range
+  uint64_t hiSeq_ = 0;         ///< one past the last
+  /// Entry walk, backward: the next sequence; forward: one past it.
+  /// Key-chain probe: the bucket being probed.
+  uint64_t cursor_ = 0;
+  size_t buckets_ = 0;  ///< the key index's bucket count when probed
+  std::vector<Key> bucketDone_;  ///< keys already probed in that bucket
+  uint64_t restarts_ = 0;
+  DiffMap diff_;
+};
+
 class WindowLog {
  public:
   explicit WindowLog(WindowLogConfig config = {});
@@ -110,6 +156,20 @@ class WindowLog {
   /// produces the state at `start` (backward-incremental, Fig. 5).
   Result<DiffMap> diffBackward(hlc::Timestamp end, hlc::Timestamp start,
                                DiffStats* stats = nullptr) const;
+
+  /// Visit `scan`'s next entries, about `budgetBytes` of entry data
+  /// (key + old + new value bytes; a key-chain probe counts each probed
+  /// key and twice each entry it finds; at least one entry or key while
+  /// any remain), and add the work to `stats`, with keysInDiff and
+  /// diffDataBytes once
+  /// the scan is done.  Returns the data bytes visited.  The range is
+  /// fixed when the scan starts: entries appended later must be later
+  /// than its end, as a node's HLC guarantees.  A graftHistory() or
+  /// resetForRecovery() since the last call renumbers the log and starts
+  /// the scan over; kOutOfRange once the floor passes its start,
+  /// kInvalidArgument if its end precedes its start.
+  Result<uint64_t> advance(DiffScan& scan, uint64_t budgetBytes,
+                           DiffStats* stats = nullptr) const;
 
   /// True if the log retains enough history to reconstruct state at `t`
   /// (i.e. every change after `t` is still in the window).
@@ -199,6 +259,16 @@ class WindowLog {
   void trimToBounds();
   void trimFront();
   void rebuildIndex();
+  Status outOfRange(hlc::Timestamp t) const;
+  /// advance()'s two strategies; each returns the data bytes visited.
+  uint64_t walkEntries(DiffScan& scan, uint64_t budgetBytes,
+                       DiffStats& local) const;
+  uint64_t probeKeyChains(DiffScan& scan, uint64_t budgetBytes,
+                          DiffStats& local) const;
+  /// A DiffScan over [start, end] run to the end in one call.
+  Result<DiffMap> scanToEnd(DiffScan::Direction direction,
+                            hlc::Timestamp start, hlc::Timestamp end,
+                            DiffStats* stats) const;
 
   /// Offset (into entries_) of the first entry with ts > t, found via
   /// the sparse index plus a bounded binary search.  `seeks` counts the
@@ -217,6 +287,9 @@ class WindowLog {
   /// chains and index marks survive front-trimming untouched except
   /// for their own front elements.
   uint64_t baseSeq_ = 0;
+  /// Bumped whenever sequence numbers stop naming the same entries
+  /// (graftHistory, resetForRecovery); a DiffScan then starts over.
+  uint64_t renumberings_ = 0;
   /// Sparse HLC->sequence marks, ascending; one every
   /// config_.indexStrideEntries appends.
   std::deque<IndexMark> index_;

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 
 #include "common/types.hpp"
 #include "runtime/message.hpp"
@@ -63,6 +64,11 @@ class ExecutionContext {
   /// concurrently on real threads.  sim::Executor and sim::SimDisk charge
   /// modelled CPU and disk time only when this is false.
   virtual bool isRealtime() const = 0;
+
+  /// Destroy `garbage`, which no node references any more.  The realtime
+  /// runtime hands it to a reclaimer thread, so freeing a large structure
+  /// never stalls a node thread; the simulator destroys it inline.
+  virtual void dispose(std::shared_ptr<void> garbage) { garbage.reset(); }
 
   /// Convenience: run `fn` on `owner`'s thread as soon as possible.
   void post(NodeId owner, std::function<void()> fn) {

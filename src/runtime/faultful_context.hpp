@@ -79,6 +79,9 @@ class FaultfulContext final : public ExecutionContext {
   }
   uint64_t send(Message message) override;
   bool isRealtime() const override { return inner_->isRealtime(); }
+  void dispose(std::shared_ptr<void> garbage) override {
+    inner_->dispose(std::move(garbage));
+  }
 
   // --- fault controls (thread-safe; scripts call them from timers) ---
   void setDropProbability(double p);

@@ -117,9 +117,40 @@ void RealtimeContext::scheduleDaemon(NodeId owner, TimeMicros delay,
   schedule(owner, delay, std::move(fn));
 }
 
+void RealtimeContext::dispose(std::shared_ptr<void> garbage) {
+  std::unique_lock lk(reclaimMu_);
+  if (!reclaiming_) {
+    // Before start() or after stop(): no node thread runs to stall.
+    lk.unlock();
+    garbage.reset();
+    return;
+  }
+  garbage_.push_back(std::move(garbage));
+  lk.unlock();
+  reclaimCv_.notify_one();
+}
+
+void RealtimeContext::reclaimLoop() {
+  std::vector<std::shared_ptr<void>> batch;
+  std::unique_lock lk(reclaimMu_);
+  for (;;) {
+    reclaimCv_.wait(lk, [this] { return !garbage_.empty() || !reclaiming_; });
+    if (garbage_.empty()) return;  // stopping, and everything is destroyed
+    batch.swap(garbage_);
+    lk.unlock();
+    batch.clear();
+    lk.lock();
+  }
+}
+
 void RealtimeContext::start() {
   assert(!started_);
   started_ = true;
+  {
+    std::lock_guard lk(reclaimMu_);
+    reclaiming_ = true;
+  }
+  reclaimer_ = std::thread([this] { reclaimLoop(); });
   for (auto& [id, rec] : nodes_) {
     (void)id;
     rec->thread = std::thread([this, node = rec.get()] { workerLoop(*node); });
@@ -141,6 +172,13 @@ void RealtimeContext::stop() {
     (void)id;
     if (rec->thread.joinable()) rec->thread.join();
   }
+  // No node can dispose of anything now: drain the reclaimer and join it.
+  {
+    std::lock_guard lk(reclaimMu_);
+    reclaiming_ = false;
+  }
+  reclaimCv_.notify_all();
+  if (reclaimer_.joinable()) reclaimer_.join();
   joined_ = true;
 }
 

@@ -11,7 +11,8 @@
 //   * Time: microseconds on the host steady clock since construction.
 //   * Thread model: exactly one worker thread per node, so node state
 //     keeps the single-thread confinement the protocol code was written
-//     under.
+//     under.  One more thread, the reclaimer, destroys what nodes
+//     dispose() of, so a large free never stalls a node.
 //
 // Lifecycle: construct -> registerNode()/send() freely -> start() spawns
 // workers -> ... -> stop() joins everything.  New-node registration
@@ -63,6 +64,9 @@ class RealtimeContext final : public ExecutionContext {
   bool isConnected(NodeId node) const override;
   uint64_t send(Message message) override;
   bool isRealtime() const override { return true; }
+  /// Queues `garbage` for the reclaimer thread while the workers run;
+  /// before start() and after stop() it is destroyed inline.
+  void dispose(std::shared_ptr<void> garbage) override;
 
   // --- realtime lifecycle ---
 
@@ -72,6 +76,7 @@ class RealtimeContext final : public ExecutionContext {
   bool started() const { return started_; }
 
   /// Signal every worker, cancel outstanding timers, join all threads.
+  /// Everything disposed of is destroyed before it returns.
   /// Idempotent; runs from the destructor if not called explicitly.
   /// After stop() returns, all node state is safely readable from the
   /// caller's thread (joins establish the happens-before edge).
@@ -111,12 +116,19 @@ class RealtimeContext final : public ExecutionContext {
   Node* find(NodeId node);
   const Node* find(NodeId node) const;
   void workerLoop(Node& node);
+  void reclaimLoop();
 
   std::chrono::steady_clock::time_point base_;
   std::map<NodeId, std::unique_ptr<Node>> nodes_;
   bool started_ = false;
   std::atomic<bool> stop_{false};
   bool joined_ = false;
+
+  std::mutex reclaimMu_;
+  std::condition_variable reclaimCv_;
+  std::vector<std::shared_ptr<void>> garbage_;  // guarded by reclaimMu_
+  bool reclaiming_ = false;                      // guarded by reclaimMu_
+  std::thread reclaimer_;
 
   std::atomic<uint64_t> nextMsgId_{1};
   std::atomic<uint64_t> messagesSent_{0};

@@ -118,6 +118,9 @@ class UdpContext final : public ExecutionContext {
   }
   uint64_t send(Message message) override;
   bool isRealtime() const override { return inner_->isRealtime(); }
+  void dispose(std::shared_ptr<void> garbage) override {
+    inner_->dispose(std::move(garbage));
+  }
 
   // --- lifecycle ---
   /// Spawn the per-node receiver threads and the retransmit pacer.

@@ -114,6 +114,33 @@ TEST(KvSnapshots, InstantSnapshotMatchesOracle) {
   bed.verifySnapshotMatchesOracle(snapId, target);
 }
 
+// A removed snapshot's state lends its nodes to the next full copy; that
+// copy must still hold exactly the state at its own target.
+TEST(KvSnapshots, CopyReusingARemovedSnapshotMatchesOracle) {
+  Testbed bed{snapConfig(4)};
+  bed.driver->start(4 * kMicrosPerSecond);
+  std::array<core::SnapshotId, 2> ids{};
+  std::array<hlc::Timestamp, 2> targets{};
+  int completed = 0;
+  for (int i = 0; i < 2; ++i) {
+    bed.cluster.env().scheduleAt((1 + 2 * i) * kMicrosPerSecond, [&, i] {
+      ids[i] = bed.cluster.admin().snapshotPast(
+          500, [&](const core::SnapshotSession& s) {
+            if (s.state() == core::GlobalSnapshotState::kComplete) ++completed;
+          });
+      targets[i] = bed.cluster.admin().findSession(ids[i])->request().target;
+    });
+  }
+  bed.cluster.env().scheduleAt(2 * kMicrosPerSecond, [&] {
+    for (size_t s = 0; s < bed.cluster.serverCount(); ++s) {
+      ASSERT_TRUE(bed.cluster.server(s).snapshots().remove(ids[0]).isOk());
+    }
+  });
+  bed.cluster.env().run();
+  ASSERT_EQ(completed, 2);
+  bed.verifySnapshotMatchesOracle(ids[1], targets[1]);
+}
+
 TEST(KvSnapshots, RetrospectiveSnapshotMatchesOracle) {
   Testbed bed{snapConfig(5)};
   bed.driver->start(4 * kMicrosPerSecond);
@@ -454,6 +481,129 @@ TEST(KvSnapshots, ArchiveExtendsRetrospectionBeyondMemory) {
     ASSERT_TRUE(materialized.isOk());
     EXPECT_EQ(materialized.value(), fromCurrent) << "server " << s;
     EXPECT_GT(astats.archivedEntriesTraversed, 0u) << "server " << s;
+  }
+}
+
+// Work per task, counted rather than timed: on a sim server whose
+// window-log holds 60 k entries, a full snapshot's compaction and
+// application and a temporal query's finish each run as many executor
+// tasks, and no task visits more than one copyChunkBytes budget of
+// entries.  Every entry overwrites a 10-byte key's 20-byte value, so a
+// scanned entry and an applied key (which replaces a value) are each 50
+// bytes.
+TEST(KvSnapshots, SnapshotAndQueryStepsStayWithinOneChunkPerTask) {
+  constexpr size_t kKeys = 5'000;
+  constexpr size_t kEntries = 60'000;
+  constexpr uint64_t kEntryBytes = 50;
+  constexpr uint64_t kBudget = 100 * kEntryBytes;
+  ClusterConfig cfg;
+  cfg.servers = 1;
+  cfg.clients = 1;
+  cfg.seed = 7;
+  cfg.server.logConfig.maxBytes = 0;
+  cfg.server.bdb.cleanerEnabled = false;
+  cfg.server.copyChunkBytes = kBudget;
+  // One modelled microsecond per applied key and nothing else, so the
+  // executor's charge counts the keys each application task applied.
+  cfg.server.applyMicrosPerEntry = 1;
+  cfg.server.compactionMicrosPerEntry = 0;
+  cfg.server.indexProbeMicros = 0;
+  cfg.server.copyCpuMicrosPerMB = 0;
+  cfg.server.integrity.checksumMicrosPerMB = 0;
+  VoldemortCluster cluster(cfg);
+  VoldemortServer& server = cluster.server(0);
+  const auto keyOf = [](size_t i) {
+    std::string k = std::to_string(1'000'000'000 + i);  // 10 bytes
+    return Key(k);
+  };
+  const auto valueOf = [](size_t n) {
+    return Value(std::to_string(10'000'000'000'000'000'000ull + n));
+  };
+  for (size_t i = 0; i < kKeys; ++i) server.preload(keyOf(i), valueOf(i));
+  const std::unordered_map<Key, Value> initial = server.bdb().data();
+  for (size_t n = 0; n < kEntries; ++n) {
+    cluster.env().scheduleAt(static_cast<TimeMicros>(n) * 20, [&, n] {
+      const Key key = keyOf(n % kKeys);
+      const Value next = valueOf(kKeys + n);
+      server.retroscope().timeTick();
+      server.retroscope().appendToLog(VoldemortServer::kStoreLog, key,
+                                      server.bdb().get(key), next);
+      server.bdb().put(key, next);
+    });
+  }
+  cluster.env().runUntil(static_cast<TimeMicros>(kEntries) * 20);
+  const log::WindowLog& wlog =
+      server.retroscope().getLog(VoldemortServer::kStoreLog);
+  ASSERT_GE(wlog.entryCount(), 50'000u);
+
+  // Full snapshot about 1.1 s back: ~55 k entries to compact.
+  core::SnapshotId snapId = 0;
+  bool snapshotDone = false;
+  snapId = cluster.admin().snapshotPast(
+      1100, [&](const core::SnapshotSession& s) {
+        snapshotDone = true;
+        EXPECT_EQ(s.state(), core::GlobalSnapshotState::kComplete);
+      });
+  const hlc::Timestamp target =
+      cluster.admin().findSession(snapId)->request().target;
+  std::vector<uint64_t> compactionTasks;
+  std::vector<uint64_t> applyTasks;
+  uint64_t entries = server.diffTotals().entriesTraversed;
+  TimeMicros busy = server.executor().totalBusyMicros();
+  const uint64_t callsBefore = server.diffCalls();
+  while (!snapshotDone && cluster.env().step()) {
+    const uint64_t e = server.diffTotals().entriesTraversed;
+    if (e != entries) compactionTasks.push_back(e - entries);
+    entries = e;
+    const TimeMicros b = server.executor().totalBusyMicros();
+    if (b != busy && server.diffCalls() > callsBefore &&
+        !server.snapshots().contains(snapId)) {
+      applyTasks.push_back(static_cast<uint64_t>(b - busy));
+    }
+    busy = b;
+  }
+  ASSERT_TRUE(snapshotDone);
+  EXPECT_GE(compactionTasks.size(), 10u);
+  for (uint64_t n : compactionTasks) EXPECT_LE(n, kBudget / kEntryBytes);
+  EXPECT_GE(applyTasks.size(), 10u);
+  for (uint64_t n : applyTasks) EXPECT_LE(n, kBudget / kEntryBytes);
+  auto materialized = server.snapshots().materialize(snapId);
+  ASSERT_TRUE(materialized.isOk()) << materialized.status().toString();
+  EXPECT_EQ(materialized.value(), oracleStateAt(server, initial, target));
+
+  // Temporal query over the last second: the finish rolls ~50 k entries
+  // back to T1, then replays nine steps.
+  const int64_t now = cluster.admin().clock().tick().l;
+  bool queryDone = false;
+  cluster.admin().doQuery(
+      "COUNT OVER [" + std::to_string(now - 1000) + ", " +
+          std::to_string(now - 200) + "] STEP 100",
+      [&](const QueryOutcome& out) {
+        queryDone = true;
+        ASSERT_TRUE(out.status.isOk()) << out.status.toString();
+        ASSERT_EQ(out.result.series.size(), 9u);
+        for (const auto& [at, result] : out.result.series) {
+          EXPECT_EQ(result.matched, kKeys) << at.toString();
+        }
+      });
+  std::vector<uint64_t> finishTaskBytes;
+  core::ReplayStats seen = server.queryReplayTotals();
+  while (!queryDone && cluster.env().step()) {
+    const core::ReplayStats& now = server.queryReplayTotals();
+    const uint64_t scanned =
+        now.diffTotals.entriesTraversed - seen.diffTotals.entriesTraversed;
+    const uint64_t applied = now.baseDiffKeys + now.replayedKeys -
+                             seen.baseDiffKeys - seen.replayedKeys;
+    if (scanned + applied > 0) {
+      finishTaskBytes.push_back((scanned + applied) * kEntryBytes);
+    }
+    seen = now;
+  }
+  ASSERT_TRUE(queryDone);
+  EXPECT_GE(finishTaskBytes.size(), 10u);
+  // A task stops at the first entry that reaches the budget.
+  for (uint64_t bytes : finishTaskBytes) {
+    EXPECT_LE(bytes, kBudget + kEntryBytes);
   }
 }
 

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "runtime/deadline.hpp"
@@ -230,6 +233,58 @@ TEST(RealtimeContext, ExecutorAndDiskChargeNoModelledTime) {
   EXPECT_EQ(executor.busyUntil(), 0);
   EXPECT_EQ(disk.busyUntil(), 0);
   EXPECT_EQ(disk.bytesRead(), kGiB);
+}
+
+// dispose() from several node threads while they run: each object is
+// destroyed on the reclaimer, never on the node thread that disposed of
+// it, and every destructor has run when stop() returns.  CI's TSan race
+// sweep repeats this case.
+TEST(RealtimeContext, DisposedObjectsDieOffNodeThreadsBeforeStopReturns) {
+  constexpr int kNodes = 4;
+  constexpr int kPerNode = 64;
+  struct Large {
+    Large(std::atomic<int>* destroyed, std::atomic<int>* onOwnThread)
+        : destroyed(destroyed),
+          onOwnThread(onOwnThread),
+          owner(std::this_thread::get_id()),
+          rows(512, std::string(96, 'x')) {}
+    ~Large() {
+      if (std::this_thread::get_id() == owner) onOwnThread->fetch_add(1);
+      destroyed->fetch_add(1);
+    }
+    std::atomic<int>* destroyed;
+    std::atomic<int>* onOwnThread;
+    std::thread::id owner;
+    std::vector<std::string> rows;
+  };
+  RealtimeContext ctx;
+  std::atomic<int> disposed{0};
+  std::atomic<int> destroyed{0};
+  std::atomic<int> onOwnThread{0};
+  std::atomic<int> delivered{0};
+  for (NodeId n = 0; n < kNodes; ++n) {
+    ctx.registerNode(n, [&](Message&&) { delivered.fetch_add(1); });
+  }
+  ctx.start();
+  for (NodeId n = 0; n < kNodes; ++n) {
+    for (int i = 0; i < kPerNode; ++i) {
+      ctx.post(n, [&, n] {
+        ctx.dispose(std::make_shared<Large>(&destroyed, &onOwnThread));
+        disposed.fetch_add(1);
+        // Keep the nodes busy with traffic while the reclaimer frees.
+        ctx.send(Message{n, static_cast<NodeId>((n + 1) % kNodes), 0, "p"});
+      });
+    }
+  }
+  ASSERT_TRUE(waitForCondition(
+      [&] { return disposed.load() == kNodes * kPerNode; }));
+  ctx.stop();
+  EXPECT_EQ(destroyed.load(), kNodes * kPerNode);
+  EXPECT_EQ(onOwnThread.load(), 0);
+  // With the workers gone, dispose() destroys inline.
+  ctx.dispose(std::make_shared<Large>(&destroyed, &onOwnThread));
+  EXPECT_EQ(destroyed.load(), kNodes * kPerNode + 1);
+  EXPECT_GT(delivered.load(), 0);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -345,6 +346,165 @@ TEST(TemporalQueryDifferential, InterleavedFoldMatchesOneShotOverFinalState) {
     }
     if (::testing::Test::HasFailure()) {
       FAIL() << "interleaved divergence at seed " << seed;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Finish in pieces (RETRO_QUERY_SEEDS): the fold of the state at T0 is
+// finished a budget at a time (1 byte, 7 bytes, unbounded), forward and
+// ROLLING, while puts after T0 land between pieces and a bounded window
+// trims under them.  The series and WHEN verdict must equal naive
+// per-step materialization at T0, and a piece refuses with kOutOfRange
+// exactly when the floor has passed T1 by then.
+// ---------------------------------------------------------------------------
+
+/// Naive per-step materialization of the state at T0: a copy of it
+/// rolled back to each grid point (clamped to T0) by the linear scanner.
+std::vector<std::pair<hlc::Timestamp, QueryResult>> naiveSeriesAtT0(
+    const SnapshotQuery& query, const TemporalSpec& spec,
+    const std::unordered_map<Key, Value>& stateAtT0, hlc::Timestamp t0,
+    const log::NaiveWindowLog& oracle) {
+  std::vector<std::pair<hlc::Timestamp, QueryResult>> out;
+  for (const hlc::Timestamp& t : temporalGrid(spec)) {
+    std::unordered_map<Key, Value> state = stateAtT0;
+    auto diff = oracle.diffBackward(t0, std::min(t, t0));
+    EXPECT_TRUE(diff.isOk()) << diff.status().toString();
+    if (diff.isOk()) diff.value().applyTo(state);
+    out.emplace_back(t, query.execute(state));
+  }
+  return out;
+}
+
+TEST(TemporalQueryDifferential, FinishInPiecesMatchesNaiveMaterialization) {
+  static constexpr uint64_t kBudgets[] = {1, 7, UINT64_MAX};
+  const uint64_t seeds = querySeedCount();
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 4099 + 11);
+    const log::WindowLogConfig cfg = logConfigForSeed(seed);
+    log::WindowLog indexed(cfg);
+    log::NaiveWindowLog naive(cfg);
+    std::unordered_map<Key, Value> live;
+    const int keySpace = 2 + static_cast<int>(rng.nextBounded(40));
+    int64_t clock = 1;
+    const auto put = [&](int op) {
+      const Key key = "k" + std::to_string(rng.nextBounded(keySpace));
+      const auto it = live.find(key);
+      const OptValue oldV =
+          it == live.end() ? OptValue{} : OptValue{it->second};
+      OptValue newV;
+      if (!rng.nextBool(0.25)) {
+        newV = rng.nextBool(0.15)
+                   ? Value("txt" + std::to_string(op))
+                   : Value(std::to_string(rng.nextInt(-50, 50)));
+      }
+      indexed.append(key, oldV, newV, ts(clock));
+      naive.append(key, oldV, newV, ts(clock));
+      if (newV) {
+        live[key] = *newV;
+      } else {
+        live.erase(key);
+      }
+    };
+    for (int op = 0; op < 150 + static_cast<int>(rng.nextBounded(200));
+         ++op) {
+      if (!rng.nextBool(0.2)) clock += 1 + rng.nextBounded(4);
+      put(op);
+    }
+
+    for (int probe = 0; probe < 6; ++probe) {
+      const hlc::Timestamp t0 = indexed.latest();
+      const std::unordered_map<Key, Value> stateAtT0 = live;
+      const int64_t floorL = indexed.floor().l;
+      const int64_t span = std::max<int64_t>(t0.l - floorL, 1);
+      int64_t t1 = floorL + rng.nextInt(0, span);
+      if (rng.nextBool(0.1)) t1 = floorL - 1;
+      const int64_t t2 = t1 + rng.nextInt(0, span + 10);
+      std::string text = queryTextFor(rng) + " OVER [" + std::to_string(t1) +
+                         ", " + std::to_string(t2) + "] STEP " +
+                         std::to_string(1 + rng.nextInt(0, 12));
+      if (rng.nextBool(0.4)) {
+        text += " WHEN > " + std::to_string(rng.nextInt(-3, 6)) + " EVER";
+      }
+      auto parsed = SnapshotQuery::parse(text);
+      ASSERT_TRUE(parsed.isOk()) << parsed.status().toString();
+      const SnapshotQuery& query = parsed.value();
+      const auto naiveOk = naive.covers(query.temporal()->from);
+      const auto expected =
+          naiveOk ? naiveSeriesAtT0(query, *query.temporal(), stateAtT0, t0,
+                                    naive)
+                  : std::vector<std::pair<hlc::Timestamp, QueryResult>>{};
+
+      for (const bool rolling : {false, true}) {
+        const uint64_t budget = kBudgets[(probe + (rolling ? 1 : 0)) % 3];
+        SCOPED_TRACE(text + (rolling ? " ROLLING" : "") + " budget " +
+                     std::to_string(budget));
+        TemporalSpec spec = *query.temporal();
+        spec.rolling = rolling;
+        PartialsEvaluator eval(query, spec);
+        for (const auto& [k, v] : stateAtT0) eval.fold(k, v);
+        const auto valueAtT0 = [&](const Key& k) -> const Value* {
+          const auto it = stateAtT0.find(k);
+          return it == stateAtT0.end() ? nullptr : &it->second;
+        };
+        ReplayStats stats;
+        std::optional<StatusCode> refused;
+        int putsLeft = 40;
+        for (int piece = 0;; ++piece) {
+          const bool mustRefuse = !naive.covers(spec.from);
+          auto done = eval.finishPart(indexed, t0, valueAtT0, budget, &stats);
+          if (mustRefuse) {
+            ASSERT_FALSE(done.isOk()) << "piece " << piece;
+            refused = done.status().code();
+            break;
+          }
+          ASSERT_TRUE(done.isOk()) << done.status().toString();
+          if (budget == UINT64_MAX) {
+            EXPECT_TRUE(done.value());
+          }
+          if (done.value()) break;
+          // Puts after T0 between pieces; a bounded window trims.
+          if (putsLeft > 0 && rng.nextBool(0.3)) {
+            for (uint64_t n = 1 + rng.nextBounded(3); n > 0; --n, --putsLeft) {
+              clock += 1 + rng.nextBounded(3);
+              put(piece);
+            }
+          }
+        }
+        if (refused) {
+          EXPECT_EQ(*refused, StatusCode::kOutOfRange);
+          continue;
+        }
+        ASSERT_TRUE(naiveOk);
+        EXPECT_EQ(stats.diffCalls, temporalGrid(spec).size());
+        auto combined = combinePartials(query, {eval.takeSeries()});
+        ASSERT_TRUE(combined.isOk()) << combined.status().toString();
+        expectSameSeries(combined.value().series, expected, "pieces");
+        if (spec.when) {
+          ASSERT_TRUE(combined.value().verdict.has_value());
+          const auto& v = *combined.value().verdict;
+          bool ever = false, always = true;
+          std::optional<hlc::Timestamp> first, last;
+          for (const auto& [at, r] : expected) {
+            const bool held =
+                whenConditionHolds(r, spec.when->op, spec.when->operand);
+            ever = ever || held;
+            always = always && held;
+            if (held) {
+              if (!first) first = at;
+              last = at;
+            }
+          }
+          EXPECT_EQ(v.everHeld, ever);
+          EXPECT_EQ(v.alwaysHeld, always);
+          EXPECT_EQ(v.firstHeld, first);
+          EXPECT_EQ(v.lastHeld, last);
+        }
+      }
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "finish-in-pieces divergence at seed " << seed;
     }
   }
 }

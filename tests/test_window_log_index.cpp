@@ -10,6 +10,8 @@
 // oracles".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <unordered_map>
 #include <vector>
@@ -188,6 +190,212 @@ TEST(WindowLogIndexDifferential, RandomizedSweepMatchesNaiveScanner) {
       FAIL() << "differential divergence at seed " << seed;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked scans (RETRO_INDEX_SEEDS): every diffForward/diffBackward also
+// runs as a DiffScan advanced at budgets of 1 byte, 7 bytes and
+// unbounded, while appends (later than the scan's end), bounded trims,
+// truncations, recovery resets and rebalance grafts land between calls.
+// A finished scan equals the naive scanner's diff over the log as it is
+// then; a refusal matches the naive floor check at that call.  Ranges
+// both shorter and longer than the live key count occur, so both the
+// entry walk and the key-chain probe resume mid-scan.
+// ---------------------------------------------------------------------------
+
+TEST(WindowLogIndexDifferential, ChunkedScansMatchNaiveScanner) {
+  static constexpr uint64_t kBudgets[] = {1, 7, UINT64_MAX};
+  const uint64_t seeds = indexSeedCount();
+  uint64_t chunkedWalks = 0;
+  uint64_t chunkedProbes = 0;
+  for (uint64_t seed = 1; seed <= seeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed * 104729 + 5);
+    const WindowLogConfig cfg = configForSeed(seed);
+    WindowLog indexed(cfg);
+    NaiveWindowLog naive(cfg);
+
+    const int keySpace = 1 + static_cast<int>(rng.nextBounded(120));
+    int64_t clock = 1;
+    int grafted = 0;
+    const auto append = [&](int op) {
+      const Key key = "k" + std::to_string(rng.nextBounded(keySpace));
+      OptValue oldV, newV;
+      if (!rng.nextBool(0.3)) oldV = "o" + std::to_string(op);
+      if (!rng.nextBool(0.2)) newV = "n" + std::to_string(op);
+      indexed.append(key, oldV, newV, ts(clock));
+      naive.append(key, oldV, newV, ts(clock));
+    };
+    for (int op = 0; op < 200 + static_cast<int>(rng.nextBounded(200));
+         ++op) {
+      if (!rng.nextBool(0.15)) clock += 1 + rng.nextBounded(3);
+      append(op);
+    }
+
+    for (int probe = 0; probe < 24; ++probe) {
+      const uint64_t budget = kBudgets[probe % 3];
+      const bool forward = rng.nextBool(0.5);
+      const int64_t floorL = indexed.floor().l;
+      hlc::Timestamp a = ts(floorL + rng.nextInt(0, clock - floorL));
+      hlc::Timestamp b = ts(floorL + rng.nextInt(0, clock - floorL));
+      if (b < a) std::swap(a, b);
+      SCOPED_TRACE("probe " + std::to_string(probe) + (forward ? " fwd" : " bwd") +
+                   " (" + a.toString() + ", " + b.toString() + "] budget " +
+                   std::to_string(budget));
+      DiffScan scan(forward ? DiffScan::Direction::kForward
+                            : DiffScan::Direction::kBackward,
+                    a, b);
+      uint64_t renumbered = 0;  // grafts/resets while the scan ran
+      for (int call = 0;; ++call) {
+        const bool mustRefuse = !naive.covers(a);
+        DiffStats stats;
+        auto visited = indexed.advance(scan, budget, &stats);
+        if (mustRefuse) {
+          ASSERT_FALSE(visited.isOk()) << "call " << call;
+          EXPECT_EQ(visited.status().code(), StatusCode::kOutOfRange);
+          break;
+        }
+        ASSERT_TRUE(visited.isOk()) << visited.status().toString();
+        // Every entry carries at least one data byte (its key).
+        EXPECT_LE(stats.entriesTraversed, std::max<uint64_t>(budget, 1));
+        if (!scan.done()) ++(stats.usedKeyChains ? chunkedProbes : chunkedWalks);
+        if (budget == UINT64_MAX) {
+          EXPECT_TRUE(scan.done());
+        }
+        if (scan.done()) {
+          EXPECT_EQ(scan.restarts(), renumbered);
+          DiffStats ns;
+          auto expected = forward ? naive.diffForward(a, b, &ns)
+                                  : naive.diffBackward(b, a, &ns);
+          ASSERT_TRUE(expected.isOk()) << expected.status().toString();
+          EXPECT_EQ(scan.diff().entries(), expected.value().entries());
+          EXPECT_EQ(scan.diff().dataBytes(), expected.value().dataBytes());
+          break;
+        }
+        // Mutate between calls.
+        const double roll = rng.nextDouble();
+        if (roll < 0.55) {
+          for (uint64_t n = 1 + rng.nextBounded(4); n > 0; --n) {
+            clock += 1 + rng.nextBounded(2);
+            append(call);
+          }
+        } else if (roll < 0.75) {
+          // A fresh key's history, timestamps anywhere in the past; its
+          // source floor sometimes passes the scan's start.
+          std::vector<int64_t> stamps;
+          for (uint64_t n = 1 + rng.nextBounded(4); n > 0; --n) {
+            stamps.push_back(1 + rng.nextInt(0, clock - 1));
+          }
+          std::sort(stamps.begin(), stamps.end());
+          std::vector<Entry> history;
+          OptValue prev;
+          for (int64_t l : stamps) {
+            OptValue next = "g" + std::to_string(l);
+            history.push_back({"g" + std::to_string(grafted), prev, next, ts(l)});
+            prev = next;
+          }
+          ++grafted;
+          const hlc::Timestamp sourceFloor =
+              rng.nextBool(0.2) ? ts(rng.nextInt(0, clock)) : hlc::kZero;
+          indexed.graftHistory(history, sourceFloor);
+          naive.graftHistory(history, sourceFloor);
+          ++renumbered;
+        } else if (roll < 0.95) {
+          const hlc::Timestamp t = ts(rng.nextInt(0, clock));
+          indexed.truncateThrough(t);
+          naive.truncateThrough(t);
+        } else {
+          indexed.resetForRecovery(ts(clock));
+          naive.resetForRecovery(ts(clock));
+          ++renumbered;
+        }
+        expectSameState(indexed, naive);
+      }
+      ASSERT_TRUE(indexed.validateIndex());
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "chunked-scan divergence at seed " << seed;
+    }
+  }
+  if (seeds >= 16) {  // a sweep this wide resumes both strategies
+    EXPECT_GT(chunkedWalks, 0u);
+    EXPECT_GT(chunkedProbes, 0u);
+  }
+}
+
+TEST(WindowLogIndexEdge, GraftRestartsAScanAndTheResultIncludesIt) {
+  WindowLog wlog;
+  for (int i = 1; i <= 40; ++i) {
+    wlog.append("k" + std::to_string(i % 8), Value("a"), Value("b"), ts(i));
+  }
+  DiffScan scan(DiffScan::Direction::kBackward, ts(10), ts(30));
+  ASSERT_TRUE(wlog.advance(scan, 1).isOk());
+  ASSERT_FALSE(scan.done());
+  wlog.graftHistory({{"fresh", Value("before"), Value("after"), ts(20)}},
+                    hlc::kZero);
+  while (!scan.done()) ASSERT_TRUE(wlog.advance(scan, 7).isOk());
+  EXPECT_EQ(scan.restarts(), 1u);
+  EXPECT_EQ(scan.diff().entries().at("fresh"), Value("before"));
+  EXPECT_EQ(scan.diff().size(), 9u);  // k0..k7 and the grafted key
+}
+
+TEST(WindowLogIndexEdge, KeyChainProbeResumesThroughTrimsAndRehash) {
+  // 400 writes over 60 keys: the range is longer than the live key
+  // count, so the scan probes key chains, a few keys per 64-byte call.
+  // Between calls, two fresh keys (written past the range) grow the key
+  // index past a rehash, and trims drop entries below the range.
+  WindowLog wlog;
+  NaiveWindowLog naive;
+  const auto append = [&](const Key& key, int64_t l) {
+    wlog.append(key, Value("o" + std::to_string(l)),
+                Value("n" + std::to_string(l)), ts(l));
+    naive.append(key, Value("o" + std::to_string(l)),
+                 Value("n" + std::to_string(l)), ts(l));
+  };
+  for (int64_t l = 1; l <= 400; ++l) append("k" + std::to_string(l % 60), l);
+  const size_t keysAtStart = wlog.liveKeyCount();
+  int64_t next = 1000;
+  for (const bool forward : {false, true}) {
+    SCOPED_TRACE(forward ? "forward" : "backward");
+    DiffScan scan(forward ? DiffScan::Direction::kForward
+                          : DiffScan::Direction::kBackward,
+                  ts(20), ts(390));
+    DiffStats stats;
+    for (int64_t call = 1; !scan.done(); ++call) {
+      ASSERT_LT(call, 1000);
+      ASSERT_TRUE(wlog.advance(scan, 64, &stats).isOk());
+      for (int fresh = 0; fresh < 2; ++fresh, ++next) {
+        append("fresh" + std::to_string(next), next);
+      }
+      if (call <= 20) {
+        wlog.truncateThrough(ts(call));
+        naive.truncateThrough(ts(call));
+      }
+    }
+    EXPECT_TRUE(stats.usedKeyChains);
+    auto expected = forward ? naive.diffForward(ts(20), ts(390))
+                            : naive.diffBackward(ts(390), ts(20));
+    ASSERT_TRUE(expected.isOk());
+    EXPECT_EQ(scan.diff().entries(), expected.value().entries());
+    EXPECT_EQ(scan.diff().size(), 60u);
+  }
+  // Bucket counts at most double per rehash, so at least one happened.
+  EXPECT_GT(wlog.liveKeyCount(), 2 * keysAtStart + 10);
+}
+
+TEST(WindowLogIndexEdge, FloorPassingAScansStartRefuses) {
+  WindowLog wlog;
+  for (int i = 1; i <= 40; ++i) {
+    wlog.append("k" + std::to_string(i), std::nullopt, Value("v"), ts(i));
+  }
+  DiffScan scan(DiffScan::Direction::kForward, ts(10), ts(30));
+  ASSERT_TRUE(wlog.advance(scan, 1).isOk());
+  wlog.truncateThrough(ts(10));  // up to the start: still reachable
+  ASSERT_TRUE(wlog.advance(scan, 1).isOk());
+  wlog.truncateThrough(ts(11));
+  auto refused = wlog.advance(scan, 1);
+  ASSERT_FALSE(refused.isOk());
+  EXPECT_EQ(refused.status().code(), StatusCode::kOutOfRange);
 }
 
 // ---------------------------------------------------------------------------
