@@ -125,9 +125,9 @@ class RealtimeKvCluster {
   }
   /// Join all node threads; cluster state is then safely readable.
   /// Releases any paused workers first so the joins cannot deadlock;
-  /// the transport threads go down last (workers may still be sending
-  /// while they drain, and late wire deliveries into the stopped inner
-  /// context are simply never drained).
+  /// the UDP transport goes down last (workers may still be sending
+  /// until they stop, and its sockets close only once no worker polls
+  /// them).
   void stop() {
     if (faultful_) faultful_->release();
     ctx_.stop();

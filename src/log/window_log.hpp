@@ -256,6 +256,37 @@ class WindowLog {
     uint64_t seq;
   };
 
+  /// One key's ascending chain of surviving sequence numbers: a vector
+  /// behind a dead prefix.  Trimming pops the front by moving the head,
+  /// and the dead prefix is erased once it is half the vector, so a pop
+  /// stays amortized O(1).  A one-entry chain costs one small
+  /// allocation, where a std::deque's costs a 512-byte block and a map.
+  class SeqChain {
+   public:
+    using const_iterator = std::vector<uint64_t>::const_iterator;
+
+    void push_back(uint64_t seq) { seqs_.push_back(seq); }
+    void pop_front() {
+      if (++head_ * 2 >= seqs_.size()) {
+        seqs_.erase(seqs_.begin(),
+                    seqs_.begin() + static_cast<ptrdiff_t>(head_));
+        head_ = 0;
+      }
+    }
+    bool empty() const { return head_ == seqs_.size(); }
+    size_t size() const { return seqs_.size() - head_; }
+    uint64_t front() const { return seqs_[head_]; }
+    uint64_t back() const { return seqs_.back(); }
+    const_iterator begin() const {
+      return seqs_.begin() + static_cast<ptrdiff_t>(head_);
+    }
+    const_iterator end() const { return seqs_.end(); }
+
+   private:
+    std::vector<uint64_t> seqs_;
+    size_t head_ = 0;
+  };
+
   void trimToBounds();
   void trimFront();
   void rebuildIndex();
@@ -294,7 +325,7 @@ class WindowLog {
   /// config_.indexStrideEntries appends.
   std::deque<IndexMark> index_;
   /// Per-key ascending sequence chain of surviving entries.
-  std::unordered_map<Key, std::deque<uint64_t>> keyChains_;
+  std::unordered_map<Key, SeqChain> keyChains_;
 };
 
 }  // namespace retro::log

@@ -42,11 +42,10 @@ std::string encodeDatagram(const Datagram& d) {
     w.writeU64(d.fragUid);
     w.writeU32(d.fragIndex);
     w.writeU32(d.fragCount);
-    w.writeRaw(d.chunk);
-  } else {
-    w.writeVarU64(d.ackedSeqs.size());
-    for (uint64_t seq : d.ackedSeqs) w.writeU64(seq);
   }
+  w.writeVarU64(d.ackedSeqs.size());
+  for (uint64_t seq : d.ackedSeqs) w.writeU64(seq);
+  if (d.kind == DatagramKind::kData) w.writeRaw(d.chunk);
   std::string out;
   appendFrame(out, w.view());
   return out;
@@ -72,13 +71,15 @@ std::optional<Datagram> decodeDatagram(std::string_view bytes) {
       d.fragIndex = r.readU32();
       d.fragCount = r.readU32();
       if (d.fragCount == 0 || d.fragIndex >= d.fragCount) return std::nullopt;
+    }
+    const uint64_t count = r.readCount(8);
+    d.ackedSeqs.reserve(count);
+    for (uint64_t i = 0; i < count; ++i) d.ackedSeqs.push_back(r.readU64());
+    if (d.kind == DatagramKind::kData) {
       d.chunk.assign(frame.payload.substr(frame.payload.size() -
                                           r.remaining()));
-    } else {
-      const uint64_t count = r.readCount(8);
-      d.ackedSeqs.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) d.ackedSeqs.push_back(r.readU64());
-      if (!r.atEnd()) return std::nullopt;
+    } else if (!r.atEnd()) {
+      return std::nullopt;
     }
     return d;
   } catch (const std::out_of_range&) {

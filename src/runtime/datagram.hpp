@@ -14,9 +14,11 @@
 //     u64 fragUid       message id within the link's fragment space
 //     u32 fragIndex     this chunk's position
 //     u32 fragCount     total chunks (1 = unfragmented fast path)
+//     varint count, u64 seq[count]   acks for the reverse link, riding
+//                       on the data (usually 0 or 1 of them)
 //     bytes chunk       a slice of the serialized message body
 //   kAck:
-//     varint count, u64 seq[count]   cumulative batch of acked seqs
+//     varint count, u64 seq[count]   batch of acked seqs
 //
 // The serialized message *body* (what fragmentation slices) is
 //   u32 type, u64 msgId, bytes payload
@@ -56,7 +58,7 @@ struct Datagram {
   uint32_t fragIndex = 0;
   uint32_t fragCount = 1;
   std::string chunk;
-  // --- kAck ---
+  // --- both kinds: seqs of the reverse link (to -> from) acked here ---
   std::vector<uint64_t> ackedSeqs;
 };
 

@@ -1,13 +1,51 @@
 #include "runtime/realtime_context.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace retro::runtime {
 
 namespace {
 constexpr auto kGreater = std::greater<>{};
 }  // namespace
+
+RealtimeContext::Node::~Node() {
+  if (wakeFd >= 0) ::close(wakeFd);
+}
+
+void RealtimeContext::wake(Node& node, Wake how) {
+  if (how == Wake::kCondvar) {
+    node.cv.notify_one();
+  } else if (how == Wake::kEventfd) {
+    const uint64_t one = 1;
+    // Only EAGAIN can fail here, when the counter is already huge: the
+    // worker is woken either way.
+    (void)!::write(node.wakeFd, &one, sizeof(one));
+  }
+}
+
+bool RealtimeContext::park(Node& node, int socket, TimeMicros timeoutMicros) {
+  pollfd fds[2] = {{node.wakeFd, POLLIN, 0}, {socket, POLLIN, 0}};
+  timespec timeout{};
+  timespec* bound = nullptr;
+  if (timeoutMicros >= 0) {
+    timeout.tv_sec = static_cast<time_t>(timeoutMicros / 1'000'000);
+    timeout.tv_nsec = static_cast<long>(timeoutMicros % 1'000'000) * 1000;
+    bound = &timeout;
+  }
+  const int ready = ::ppoll(fds, socket >= 0 ? 2 : 1, bound, nullptr);
+  if (ready <= 0) return false;
+  if (fds[0].revents & POLLIN) {
+    uint64_t count = 0;
+    (void)!::read(node.wakeFd, &count, sizeof(count));
+  }
+  return socket >= 0 && fds[1].revents != 0;
+}
 
 RealtimeContext::RealtimeContext()
     : base_(std::chrono::steady_clock::now()) {}
@@ -84,6 +122,7 @@ uint64_t RealtimeContext::send(Message message) {
     messagesDropped_.fetch_add(1, std::memory_order_relaxed);
     return id;
   }
+  Wake how = Wake::kNone;
   {
     std::lock_guard lk(rec->mu);
     if (!rec->connected) {
@@ -91,8 +130,9 @@ uint64_t RealtimeContext::send(Message message) {
       return id;
     }
     rec->inbox.push_back(std::move(message));
+    how = claimWake(*rec);
   }
-  rec->cv.notify_one();
+  wake(*rec, how);
   return id;
 }
 
@@ -102,12 +142,17 @@ void RealtimeContext::schedule(NodeId owner, TimeMicros delay,
   assert(rec != nullptr && "schedule() for an unregistered node");
   if (rec == nullptr) return;
   if (delay < 0) delay = 0;
+  Wake how = Wake::kNone;
   {
     std::lock_guard lk(rec->mu);
-    rec->timers.push_back(Timer{now() + delay, rec->timerSeq++, std::move(fn)});
+    const uint64_t seq = rec->timerSeq++;
+    rec->timers.push_back(Timer{now() + delay, seq, std::move(fn)});
     std::push_heap(rec->timers.begin(), rec->timers.end(), kGreater);
+    // A parked worker sleeps until the old earliest deadline: only a new
+    // earliest one needs to wake it.
+    if (rec->timers.front().seq == seq) how = claimWake(*rec);
   }
-  rec->cv.notify_one();
+  wake(*rec, how);
 }
 
 void RealtimeContext::scheduleDaemon(NodeId owner, TimeMicros delay,
@@ -115,6 +160,43 @@ void RealtimeContext::scheduleDaemon(NodeId owner, TimeMicros delay,
   // Every realtime timer already has daemon semantics: stop() cancels
   // whatever has not fired.
   schedule(owner, delay, std::move(fn));
+}
+
+void RealtimeContext::attachSocket(NodeId node, int fd,
+                                   std::function<void()> drain) {
+  Node* rec = find(node);
+  assert(rec != nullptr && "attachSocket() for an unregistered node");
+  if (rec == nullptr) return;
+  Wake how = Wake::kNone;
+  {
+    std::lock_guard lk(rec->mu);
+    assert(rec->socketFd < 0 && "one socket per node");
+    if (rec->wakeFd < 0) {
+      rec->wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+      if (rec->wakeFd < 0) {
+        throw std::runtime_error("RealtimeContext: eventfd() failed");
+      }
+    }
+    rec->socketFd = fd;
+    rec->drain = std::move(drain);
+    how = claimWake(*rec);
+  }
+  wake(*rec, how);
+}
+
+void RealtimeContext::detachSocket(NodeId node) {
+  Node* rec = find(node);
+  if (rec == nullptr) return;
+  std::unique_lock lk(rec->mu);
+  const int fd = rec->socketFd;
+  if (fd < 0) return;
+  rec->socketFd = -1;
+  // Only a running worker holds a socket: it clears heldSocket on exit.
+  if (rec->heldSocket == fd) {
+    wake(*rec, Wake::kEventfd);
+    rec->released.wait(lk, [&] { return rec->heldSocket != fd; });
+  }
+  rec->drain = nullptr;
 }
 
 void RealtimeContext::dispose(std::shared_ptr<void> garbage) {
@@ -165,8 +247,10 @@ void RealtimeContext::stop() {
     // A worker reads stop_ under its node's lock before it parks; taking
     // that lock here means the notify cannot fall between the read and
     // the wait and be lost, which left an idle worker parked forever.
+    // The eventfd needs no such care: it stays readable until read.
     { std::lock_guard lk(rec->mu); }
     rec->cv.notify_all();
+    if (rec->wakeFd >= 0) wake(*rec, Wake::kEventfd);
   }
   for (auto& [id, rec] : nodes_) {
     (void)id;
@@ -186,11 +270,24 @@ void RealtimeContext::workerLoop(Node& node) {
   std::vector<Message> batch;
   std::vector<std::function<void()>> due;
   Handler handler;
+  int socket = -1;
   for (;;) {
     {
       std::unique_lock lk(node.mu);
       for (;;) {
-        if (stop_.load(std::memory_order_acquire)) return;
+        if (node.heldSocket != node.socketFd) {
+          // Let go of a detached socket before anything else: the
+          // detacher closes it as soon as it is released.
+          const bool released = node.heldSocket >= 0;
+          node.heldSocket = node.socketFd;
+          if (released) node.released.notify_all();
+        }
+        if (stop_.load(std::memory_order_acquire)) {
+          node.heldSocket = -1;
+          node.released.notify_all();
+          return;
+        }
+        socket = node.heldSocket;
         const TimeMicros t = now();
         while (!node.timers.empty() && node.timers.front().when <= t) {
           std::pop_heap(node.timers.begin(), node.timers.end(), kGreater);
@@ -203,12 +300,24 @@ void RealtimeContext::workerLoop(Node& node) {
           node.inbox.pop_front();
         }
         if (!batch.empty() || !due.empty()) break;
-        if (node.timers.empty()) {
-          node.cv.wait(lk);
-        } else {
-          node.cv.wait_until(
-              lk, base_ + std::chrono::microseconds(node.timers.front().when));
+        node.parked.store(true, std::memory_order_relaxed);
+        if (socket < 0) {
+          if (node.timers.empty()) {
+            node.cv.wait(lk);
+          } else {
+            node.cv.wait_until(
+                lk, base_ + std::chrono::microseconds(node.timers.front().when));
+          }
+          node.parked.store(false, std::memory_order_relaxed);
+          continue;
         }
+        const TimeMicros timeout =
+            node.timers.empty() ? -1 : node.timers.front().when - t;
+        lk.unlock();
+        const bool readable = park(node, socket, timeout);
+        node.parked.store(false, std::memory_order_relaxed);
+        if (readable) node.drain();
+        lk.lock();
       }
       // Snapshot the handler under the lock: a crash/restart cycle may
       // re-register a new one concurrently; this batch keeps the one it
@@ -230,6 +339,8 @@ void RealtimeContext::workerLoop(Node& node) {
     }
     due.clear();
     batch.clear();
+    // A busy node may never park: read its socket at every pass.
+    if (socket >= 0) node.drain();
   }
 }
 

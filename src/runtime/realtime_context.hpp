@@ -7,7 +7,16 @@
 //     in one swap (batched drain — one lock round per batch, not per
 //     message) and then runs handlers lock-free.
 //   * Timers: a per-node min-heap serviced by the node's worker between
-//     drains; condition-variable waits are bounded by the next deadline.
+//     drains; waits are bounded by the next deadline.
+//   * Waiting: an idle worker parks on its node's condition variable or,
+//     when a socket is attached (attachSocket()), in ppoll() on the
+//     socket and an eventfd.  A sender wakes a worker only when it is
+//     parked, so a message to a running node costs no system call.  A
+//     worker with a socket calls its drain function on its own thread at
+//     every loop pass, so a datagram reaches its node with one thread
+//     wake.  Socketless nodes keep the condition variable because a
+//     ppoll() wake plus the read() that re-arms the eventfd cost
+//     read-mostly about 4 % of its throughput (EXPERIMENTS.md).
 //   * Time: microseconds on the host steady clock since construction.
 //   * Thread model: exactly one worker thread per node, so node state
 //     keeps the single-thread confinement the protocol code was written
@@ -68,6 +77,20 @@ class RealtimeContext final : public ExecutionContext {
   /// before start() and after stop() it is destroyed inline.
   void dispose(std::shared_ptr<void> garbage) override;
 
+  // --- sockets ---
+
+  /// Have `node`'s worker wait on `fd` as well as its inbox and timers,
+  /// and call `drain` on the worker's own thread at every loop pass and
+  /// whenever `fd` turns readable.  `drain` must not block: it reads
+  /// what is queued (non-blocking) and returns.  One socket per node;
+  /// valid before or after start().
+  void attachSocket(NodeId node, int fd, std::function<void()> drain);
+  /// Undo attachSocket().  On return `node`'s worker neither polls the
+  /// socket nor runs its drain, and never will again, so the caller may
+  /// close it.  Waits for a running worker to finish its current pass;
+  /// must not be called from a worker thread.  No-op without a socket.
+  void detachSocket(NodeId node);
+
   // --- realtime lifecycle ---
 
   /// Spawn every node's worker.  Must be called exactly once; nodes
@@ -103,18 +126,55 @@ class RealtimeContext final : public ExecutionContext {
   };
 
   struct Node {
+    Node() = default;
+    ~Node();
+    Node(const Node&) = delete;
+    Node& operator=(const Node&) = delete;
+
     mutable std::mutex mu;
-    std::condition_variable cv;
     std::deque<Message> inbox;
     std::vector<Timer> timers;  // min-heap via std::push_heap/greater
     Handler handler;
     bool connected = true;
     uint64_t timerSeq = 0;
     std::thread thread;
+    /// Where a socketless worker parks.
+    std::condition_variable cv;
+    /// Written to wake a worker parked in ppoll(); read by it to re-arm.
+    /// Created by the first attachSocket().
+    int wakeFd = -1;
+    /// True while the worker is parked (or about to park) with nothing
+    /// to do.  Set under mu after the last empty check; the sender that
+    /// flips it back wakes the worker, so a running one costs no syscall.
+    std::atomic<bool> parked{false};
+    // Socket attachment, guarded by mu.  `heldSocket` is the fd the
+    // worker may poll and drain until its next locked section; a detach
+    // waits on `released` until it no longer names the detached fd.
+    int socketFd = -1;
+    int heldSocket = -1;
+    std::function<void()> drain;
+    std::condition_variable released;
   };
+
+  /// How a sender must wake a worker, decided under its node's mutex.
+  enum class Wake { kNone, kCondvar, kEventfd };
 
   Node* find(NodeId node);
   const Node* find(NodeId node) const;
+  /// Flip `node.parked` off and say how to wake the worker (kNone if it
+  /// runs).  Called under node.mu after queueing work.
+  static Wake claimWake(Node& node) {
+    if (!node.parked.exchange(false, std::memory_order_relaxed)) {
+      return Wake::kNone;
+    }
+    return node.heldSocket >= 0 ? Wake::kEventfd : Wake::kCondvar;
+  }
+  /// Deliver what claimWake() asked for; called after unlocking.
+  static void wake(Node& node, Wake how);
+  /// Park in ppoll() until the eventfd or the held socket turns readable
+  /// or the timeout (microseconds, < 0 = none) passes; true if the
+  /// socket is readable.
+  static bool park(Node& node, int socket, TimeMicros timeoutMicros);
   void workerLoop(Node& node);
   void reclaimLoop();
 

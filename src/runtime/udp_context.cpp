@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -32,6 +31,17 @@ static_assert(kMaxInFlightDatagrams <= kSeqSpanLimit);
 /// with retransmission below, staleness means the sender gave up or
 /// died, and half a message must never be delivered.
 constexpr TimeMicros kReassemblyStaleMicros = 2'000'000;
+/// Acks riding on one data datagram: 16 seqs (128 bytes) keep a full
+/// chunk plus its headers under the 1500-byte path MTU.
+constexpr size_t kMaxPiggybackedAcks = 16;
+/// Seqs per standalone ack datagram (about 1 KiB).
+constexpr size_t kMaxAcksPerDatagram = 128;
+/// Datagrams read per drain() call, so a flooded socket cannot starve
+/// its node's timers and inbox.
+constexpr size_t kMaxDatagramsPerDrain = 64;
+/// The pacer sleeps at most this long, so stale reassembly buffers are
+/// swept even on an idle link.
+constexpr TimeMicros kMaxPacerSleepMicros = 50'000;
 
 /// Per-transmission loss-roll key: varies across (from, to, seq,
 /// attempt, kind) so a retransmission rerolls instead of being doomed
@@ -46,8 +56,10 @@ uint64_t transmissionKey(NodeId from, NodeId to, uint64_t seq,
 
 }  // namespace
 
-UdpContext::UdpContext(ExecutionContext& inner, UdpConfig config)
-    : inner_(&inner), config_(config) {}
+UdpContext::UdpContext(RealtimeContext& inner, UdpConfig config)
+    : inner_(&inner),
+      config_(config),
+      ackDelayMicros_(config.retransmit.backoffBaseMicros / 8) {}
 
 UdpContext::~UdpContext() { stop(); }
 
@@ -61,6 +73,7 @@ void UdpContext::registerNode(NodeId node, Handler handler) {
 
   auto n = std::make_unique<UdpNode>();
   n->id = node;
+  n->rxBuf.resize(64 * 1024);
   n->fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (n->fd < 0) throw std::runtime_error("UdpContext: socket() failed");
   // Generous kernel buffers: the hermetic suites burst hundreds of
@@ -115,18 +128,23 @@ void UdpContext::start() {
   if (!started_.compare_exchange_strong(expected, true)) return;
   for (auto& [id, node] : nodes_) {
     UdpNode* n = node.get();
-    n->rx = std::thread([this, id = id, n] { rxLoop(id, *n); });
+    inner_->attachSocket(id, n->fd, [this, n] { drain(*n); });
   }
   pacer_ = std::thread([this] { pacerLoop(); });
 }
 
 void UdpContext::stop() {
-  stop_.store(true, std::memory_order_release);
-  wakePacer();
-  if (pacer_.joinable()) pacer_.join();
-  for (auto& [id, node] : nodes_) {
-    if (node->rx.joinable()) node->rx.join();
+  stop_->store(true, std::memory_order_release);
+  {
+    // The pacer checks stop_ under pacerMu_ before it waits.
+    std::lock_guard<std::mutex> lk(pacerMu_);
   }
+  pacerCv_.notify_all();
+  if (pacer_.joinable()) pacer_.join();
+  // Each detach waits for the node's worker to finish its pass.  Once
+  // all have returned, every worker has seen stop_, so no callback
+  // still sends on a socket, and none will poll or drain one again.
+  for (auto& [id, node] : nodes_) inner_->detachSocket(id);
   for (auto& [id, node] : nodes_) {
     if (node->fd >= 0) {
       ::close(node->fd);
@@ -153,6 +171,18 @@ LinkHealth UdpContext::linkHealth(NodeId node, NodeId peer) const {
   return {lit->second.consecutiveExhaustions, lit->second.suspected};
 }
 
+size_t UdpContext::inFlight() const {
+  std::lock_guard<std::mutex> lk(nodesMu_);
+  size_t count = 0;
+  for (const auto& [id, node] : nodes_) {
+    std::lock_guard<std::mutex> nodeLk(node->mu);
+    for (const auto& [peer, link] : node->links) {
+      count += link.unacked.size() + link.backlog.size();
+    }
+  }
+  return count;
+}
+
 size_t UdpContext::suspectedLinkCount() const {
   std::lock_guard<std::mutex> lk(nodesMu_);
   size_t count = 0;
@@ -174,7 +204,7 @@ uint64_t UdpContext::send(Message message) {
   // in-process path: the wire adds nothing for them.
   if (message.from == message.to ||
       !started_.load(std::memory_order_acquire) ||
-      stop_.load(std::memory_order_acquire)) {
+      stop_->load(std::memory_order_acquire)) {
     localFallbacks_.fetch_add(1, std::memory_order_relaxed);
     return inner_->send(std::move(message));
   }
@@ -197,30 +227,47 @@ uint64_t UdpContext::send(Message message) {
   }
 
   UdpNode& node = *nit->second;
-  std::lock_guard<std::mutex> lk(node.mu);
-  Link& link = linkLocked(node, to);
-  const uint64_t fragUid = link.nextFragUid++;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    Datagram d;
-    d.kind = DatagramKind::kData;
-    d.from = from;
-    d.to = to;
-    d.seq = link.nextSeq++;
-    d.fragUid = fragUid;
-    d.fragIndex = static_cast<uint32_t>(i);
-    d.fragCount = static_cast<uint32_t>(chunks.size());
-    d.chunk.assign(chunks[i]);
-    std::string bytes = encodeDatagram(d);
-    if (link.suspected) {
-      // Degraded mode: one shot on the wire, no retransmit state — a
-      // dead peer must cost bounded work.  The protocol layers above
-      // already turn the resulting silence into timeouts / kPartial.
-      suspectSends_.fetch_add(1, std::memory_order_relaxed);
-      transmit(node.fd, to, bytes, transmissionKey(from, to, d.seq, 1, false));
-    } else {
-      enqueueDatagramLocked(node, link, to, d.seq, std::move(bytes));
+  TimeMicros earliest = kNever;
+  {
+    std::lock_guard<std::mutex> lk(node.mu);
+    Link& link = linkLocked(node, to);
+    const uint64_t fragUid = link.nextFragUid++;
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      Datagram d;
+      d.kind = DatagramKind::kData;
+      d.from = from;
+      d.to = to;
+      d.seq = link.nextSeq++;
+      d.fragUid = fragUid;
+      d.fragIndex = static_cast<uint32_t>(i);
+      d.fragCount = static_cast<uint32_t>(chunks.size());
+      d.chunk.assign(chunks[i]);
+      const bool admitted = link.backlog.empty() && admitLocked(link, d.seq);
+      // Owed acks ride only on a datagram that leaves now: a backlogged
+      // one could hold them past the peer's retransmit deadline.
+      if (link.suspected || admitted) {
+        takeOwedAcks(link, d.ackedSeqs, kMaxPiggybackedAcks);
+        acksPiggybacked_.fetch_add(d.ackedSeqs.size(),
+                                   std::memory_order_relaxed);
+      }
+      std::string bytes = encodeDatagram(d);
+      if (link.suspected) {
+        // Degraded mode: one shot on the wire, no retransmit state — a
+        // dead peer must cost bounded work.  The protocol layers above
+        // already turn the resulting silence into timeouts / kPartial.
+        suspectSends_.fetch_add(1, std::memory_order_relaxed);
+        transmit(node.fd, to, bytes,
+                 transmissionKey(from, to, d.seq, 1, false));
+      } else if (admitted) {
+        earliest = std::min(
+            earliest, launchLocked(node, link, to, d.seq, std::move(bytes)));
+      } else {
+        backlogged_.fetch_add(1, std::memory_order_relaxed);
+        link.backlog.push_back(Backlogged{d.seq, std::move(bytes)});
+      }
     }
   }
+  armPacer(earliest);
   return id;
 }
 
@@ -245,42 +292,32 @@ bool UdpContext::admitLocked(const Link& link, uint64_t seq) const {
   return seq - link.unacked.begin()->first < kSeqSpanLimit;
 }
 
-void UdpContext::enqueueDatagramLocked(UdpNode& node, Link& link, NodeId peer,
-                                       uint64_t seq, std::string bytes) {
-  if (!admitLocked(link, seq) || !link.backlog.empty()) {
-    backlogged_.fetch_add(1, std::memory_order_relaxed);
-    link.backlog.push_back(Backlogged{seq, std::move(bytes), peer});
-    return;
-  }
+TimeMicros UdpContext::launchLocked(UdpNode& node, Link& link, NodeId peer,
+                                    uint64_t seq, std::string bytes) {
   const TimeMicros now = inner_->now();
   Unacked entry;
   entry.bytes = std::move(bytes);
-  entry.peer = peer;
   entry.budget = RetryBudget(config_.retransmit, seq, peer, now);
   const uint32_t attempt = entry.budget.recordAttempt();
   transmit(node.fd, peer, entry.bytes,
            transmissionKey(node.id, peer, seq, attempt, false));
   entry.nextAt = now + entry.budget.nextDelay();
+  const TimeMicros nextAt = entry.nextAt;
   link.unacked.emplace(seq, std::move(entry));
-  wakePacer();
+  return nextAt;
 }
 
-void UdpContext::drainBacklogLocked(UdpNode& node, Link& link, NodeId peer) {
+TimeMicros UdpContext::drainBacklogLocked(UdpNode& node, Link& link,
+                                          NodeId peer) {
+  TimeMicros earliest = kNever;
   while (!link.backlog.empty() && admitLocked(link, link.backlog.front().seq)) {
     Backlogged b = std::move(link.backlog.front());
     link.backlog.pop_front();
-    const TimeMicros now = inner_->now();
-    Unacked entry;
-    entry.bytes = std::move(b.bytes);
-    entry.peer = peer;
-    entry.budget = RetryBudget(config_.retransmit, b.seq, peer, now);
-    const uint32_t attempt = entry.budget.recordAttempt();
-    transmit(node.fd, peer, entry.bytes,
-             transmissionKey(node.id, peer, b.seq, attempt, false));
-    entry.nextAt = now + entry.budget.nextDelay();
-    link.unacked.emplace(b.seq, std::move(entry));
+    earliest =
+        std::min(earliest, launchLocked(node, link, peer, b.seq,
+                                        std::move(b.bytes)));
   }
-  if (!link.unacked.empty()) wakePacer();
+  return earliest;
 }
 
 bool UdpContext::transmit(int fd, NodeId to, const std::string& bytes,
@@ -307,19 +344,11 @@ bool UdpContext::transmit(int fd, NodeId to, const std::string& bytes,
   return true;
 }
 
-void UdpContext::sendAck(UdpNode& node, NodeId from, NodeId peer,
-                         std::vector<uint64_t> seqs) {
-  Datagram ack;
-  ack.kind = DatagramKind::kAck;
-  ack.from = from;
-  ack.to = peer;
-  ack.ackedSeqs = std::move(seqs);
-  const std::string bytes = encodeDatagram(ack);
-  const uint64_t key = transmissionKey(
-      from, peer, ack.ackedSeqs.empty() ? 0 : ack.ackedSeqs.front(), 1, true);
-  if (transmit(node.fd, peer, bytes, key)) {
-    acksSent_.fetch_add(1, std::memory_order_relaxed);
-  }
+void UdpContext::takeOwedAcks(Link& link, std::vector<uint64_t>& out,
+                              size_t max) {
+  const size_t n = std::min(max, link.owedAcks.size());
+  out.insert(out.end(), link.owedAcks.begin(), link.owedAcks.begin() + n);
+  link.owedAcks.erase(link.owedAcks.begin(), link.owedAcks.begin() + n);
 }
 
 void UdpContext::noteAliveLocked(Link& link) {
@@ -330,77 +359,160 @@ void UdpContext::noteAliveLocked(Link& link) {
   }
 }
 
+TimeMicros UdpContext::applyAcksLocked(UdpNode& node, Link& link, NodeId peer,
+                                       const std::vector<uint64_t>& seqs) {
+  for (uint64_t seq : seqs) link.unacked.erase(seq);
+  return drainBacklogLocked(node, link, peer);
+}
+
 void UdpContext::handleAck(UdpNode& node, const Datagram& d) {
   acksReceived_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lk(node.mu);
-  Link& link = linkLocked(node, d.from);
-  for (uint64_t seq : d.ackedSeqs) link.unacked.erase(seq);
-  // Any receipt from the peer — data or ack — is a sign of life.
-  noteAliveLocked(link);
-  drainBacklogLocked(node, link, d.from);
+  TimeMicros earliest = kNever;
+  {
+    std::lock_guard<std::mutex> lk(node.mu);
+    Link& link = linkLocked(node, d.from);
+    // Any receipt from the peer — data or ack — is a sign of life.
+    noteAliveLocked(link);
+    earliest = applyAcksLocked(node, link, d.from, d.ackedSeqs);
+  }
+  armPacer(earliest);
 }
 
 void UdpContext::handleData(UdpNode& node, const Datagram& d) {
   std::optional<Message> completed;
+  TimeMicros earliest = kNever;
+  bool armFlush = false;
   {
     std::lock_guard<std::mutex> lk(node.mu);
     Link& link = linkLocked(node, d.from);
     noteAliveLocked(link);
+    if (!d.ackedSeqs.empty()) {
+      earliest = applyAcksLocked(node, link, d.from, d.ackedSeqs);
+    }
     if (link.dedup.accept(d.seq)) {
       completed = link.reassembler.feed(d, inner_->now());
     } else {
       dedupHits_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Ack every data datagram, duplicates included: a duplicate means the
+    // original ack was lost, and only a fresh ack stops the retransmits.
+    if (link.owedAcks.empty()) link.owedSince = inner_->now();
+    if (link.owedAcks.empty() || link.owedAcks.back() != d.seq) {
+      link.owedAcks.push_back(d.seq);
+    }
+    armFlush = !node.ackFlushArmed;
+    node.ackFlushArmed = true;
   }
-  // Ack every data datagram, duplicates included: a duplicate means the
-  // original ack was lost, and only a fresh ack stops the retransmits.
-  sendAck(node, node.id, d.from, {d.seq});
+  // The ack waits for data going back to the peer, up to ackDelayMicros_;
+  // delivery never waits for it.
+  if (armFlush) armAckTimer(node, ackDelayMicros_);
+  armPacer(earliest);
   if (completed) {
     messagesDelivered_.fetch_add(1, std::memory_order_relaxed);
     inner_->send(std::move(*completed));
   }
 }
 
-void UdpContext::rxLoop(NodeId id, UdpNode& node) {
-  std::vector<char> buf(64 * 1024);
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd pfd{};
-    pfd.fd = node.fd;
-    pfd.events = POLLIN;
-    const int rc = ::poll(&pfd, 1, /*timeout ms=*/50);
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
-    for (;;) {
-      const ssize_t n =
-          ::recv(node.fd, buf.data(), buf.size(), MSG_DONTWAIT);
-      if (n < 0) break;
-      datagramsReceived_.fetch_add(1, std::memory_order_relaxed);
-      if (node.muted.load(std::memory_order_acquire)) {
-        // Simulated NIC death: drop before the reliability layer looks.
-        mutedDrops_.fetch_add(1, std::memory_order_relaxed);
+void UdpContext::flushAcks(UdpNode& node) {
+  struct Ack {
+    NodeId peer;
+    std::string bytes;
+    uint64_t lossKey;
+  };
+  std::vector<Ack> acks;
+  TimeMicros nextDue = kNever;
+  const TimeMicros now = inner_->now();
+  {
+    std::lock_guard<std::mutex> lk(node.mu);
+    node.ackFlushArmed = false;
+    for (auto& [peer, link] : node.links) {
+      if (link.owedAcks.empty()) continue;
+      if (now - link.owedSince < ackDelayMicros_) {
+        // Data back to the peer may still carry these.
+        nextDue = std::min(nextDue, link.owedSince + ackDelayMicros_);
         continue;
       }
-      auto d = decodeDatagram(std::string_view(buf.data(),
-                                               static_cast<size_t>(n)));
-      if (!d) {
-        crcRejects_.fetch_add(1, std::memory_order_relaxed);
-        continue;
+      while (!link.owedAcks.empty()) {
+        Datagram ack;
+        ack.kind = DatagramKind::kAck;
+        ack.from = node.id;
+        ack.to = peer;
+        takeOwedAcks(link, ack.ackedSeqs, kMaxAcksPerDatagram);
+        // Every ack transmission draws its own loss roll.
+        acks.push_back({peer, encodeDatagram(ack),
+                        transmissionKey(node.id, peer, ++link.ackTransmissions,
+                                        1, true)});
       }
-      if (d->to != id) continue;  // misaddressed
-      if (d->kind == DatagramKind::kAck) {
-        handleAck(node, *d);
-      } else {
-        handleData(node, *d);
-      }
+    }
+    node.ackFlushArmed = nextDue != kNever;
+  }
+  for (const Ack& a : acks) {
+    if (transmit(node.fd, a.peer, a.bytes, a.lossKey)) {
+      acksSent_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  if (nextDue != kNever) armAckTimer(node, nextDue - now);
+}
+
+void UdpContext::armAckTimer(UdpNode& node, TimeMicros delay) {
+  inner_->schedule(node.id, delay, [this, &node, stop = stop_] {
+    // stop() sets the flag before it waits out each node's current pass,
+    // so a timer that fires later sees it and never touches `this`.
+    if (!stop->load(std::memory_order_acquire)) flushAcks(node);
+  });
+}
+
+bool UdpContext::fromRegisteredSource(NodeId from, uint32_t ipv4,
+                                      uint16_t port) const {
+  auto it = peers_.find(from);
+  return it != peers_.end() && it->second.ipv4 == ipv4 &&
+         it->second.port == port;
+}
+
+void UdpContext::drain(UdpNode& node) {
+  for (size_t i = 0; i < kMaxDatagramsPerDrain; ++i) {
+    sockaddr_in src{};
+    socklen_t srcLen = sizeof(src);
+    const ssize_t n =
+        ::recvfrom(node.fd, node.rxBuf.data(), node.rxBuf.size(), MSG_DONTWAIT,
+                   reinterpret_cast<sockaddr*>(&src), &srcLen);
+    if (n < 0) return;
+    datagramsReceived_.fetch_add(1, std::memory_order_relaxed);
+    if (node.muted.load(std::memory_order_acquire)) {
+      // Simulated NIC death: drop before the reliability layer looks.
+      mutedDrops_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    auto d = decodeDatagram(
+        std::string_view(node.rxBuf.data(), static_cast<size_t>(n)));
+    if (!d) {
+      crcRejects_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (d->to != node.id) continue;  // misaddressed
+    if (src.sin_family != AF_INET ||
+        !fromRegisteredSource(d->from, src.sin_addr.s_addr, src.sin_port)) {
+      // Not sent from `from`'s address: a spoof must neither deliver
+      // nor settle anything.
+      sourceRejects_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (d->kind == DatagramKind::kAck) {
+      handleAck(node, *d);
+    } else {
+      handleData(node, *d);
     }
   }
 }
 
 void UdpContext::pacerLoop() {
-  constexpr TimeMicros kMaxSleepMicros = 50'000;
-  while (!stop_.load(std::memory_order_acquire)) {
+  std::unique_lock<std::mutex> pacerLk(pacerMu_);
+  while (!stop_->load(std::memory_order_acquire)) {
+    // While scanning, any new deadline lowers kNever and is kept.
+    pacerDeadline_.store(kNever, std::memory_order_release);
+    pacerLk.unlock();
     const TimeMicros now = inner_->now();
-    TimeMicros nextWake = now + kMaxSleepMicros;
+    TimeMicros nextWake = now + kMaxPacerSleepMicros;
     for (auto& [id, nodePtr] : nodes_) {
       UdpNode& node = *nodePtr;
       std::lock_guard<std::mutex> lk(node.mu);
@@ -450,27 +562,32 @@ void UdpContext::pacerLoop() {
           nextWake = std::min(nextWake, u.nextAt);
           ++it;
         }
-        if (erasedAny) drainBacklogLocked(node, link, peer);
-        if (!link.unacked.empty()) {
-          nextWake = std::min(nextWake, link.unacked.begin()->second.nextAt);
+        if (erasedAny) {
+          nextWake = std::min(nextWake, drainBacklogLocked(node, link, peer));
         }
       }
     }
-    std::unique_lock<std::mutex> lk(pacerMu_);
-    if (stop_.load(std::memory_order_acquire)) break;
-    if (!pacerKick_) {
-      const TimeMicros sleepMicros = std::clamp<TimeMicros>(
-          nextWake - inner_->now(), 500, kMaxSleepMicros);
-      pacerCv_.wait_for(lk, std::chrono::microseconds(sleepMicros));
+    pacerLk.lock();
+    if (nextWake < pacerDeadline_.load(std::memory_order_relaxed)) {
+      pacerDeadline_.store(nextWake, std::memory_order_release);
     }
-    pacerKick_ = false;
+    for (;;) {
+      if (stop_->load(std::memory_order_acquire)) return;
+      const TimeMicros left =
+          pacerDeadline_.load(std::memory_order_relaxed) - inner_->now();
+      if (left <= 0) break;
+      pacerCv_.wait_for(pacerLk, std::chrono::microseconds(left));
+      pacerWakes_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
-void UdpContext::wakePacer() {
+void UdpContext::armPacer(TimeMicros at) {
+  if (at >= pacerDeadline_.load(std::memory_order_acquire)) return;
   {
     std::lock_guard<std::mutex> lk(pacerMu_);
-    pacerKick_ = true;
+    if (at >= pacerDeadline_.load(std::memory_order_relaxed)) return;
+    pacerDeadline_.store(at, std::memory_order_release);
   }
   pacerCv_.notify_one();
 }
@@ -482,8 +599,10 @@ Counters UdpContext::counters() const {
   c.add("udp.retransmits", retransmits_.load());
   c.add("udp.acks_sent", acksSent_.load());
   c.add("udp.acks_received", acksReceived_.load());
+  c.add("udp.acks_piggybacked", acksPiggybacked_.load());
   c.add("udp.dedup_hits", dedupHits_.load());
   c.add("udp.crc_rejects", crcRejects_.load());
+  c.add("udp.source_rejects", sourceRejects_.load());
   c.add("udp.reassembly_drops", reassemblyDrops_.load());
   c.add("udp.loss_injected", lossInjected_.load());
   c.add("udp.exhausted", exhaustions_.load());
@@ -495,6 +614,7 @@ Counters UdpContext::counters() const {
   c.add("udp.messages_delivered", messagesDelivered_.load());
   c.add("udp.local_fallbacks", localFallbacks_.load());
   c.add("udp.muted_drops", mutedDrops_.load());
+  c.add("udp.pacer_wakes", pacerWakes_.load());
   c.add("retry.retransmits", retransmits_.load());
   c.add("retry.exhausted", exhaustions_.load());
   c.add("retry.deadline_exceeded", deadlineExceeded_.load());

@@ -1,12 +1,14 @@
 // Unit tests for the thread-per-node RealtimeContext: timer ordering,
 // message delivery, batched drains, disconnect semantics, lifecycle
-// (start/stop idempotence), and the simulator's cost model staying out of
-// realtime runs.  All waits draw their budget from
+// (start/stop idempotence), attached sockets, and the simulator's cost
+// model staying out of realtime runs.  All waits draw their budget from
 // RETRO_REALTIME_TIMEOUT_MS via runtime::waitForCondition — no
 // hard-coded sleeps.
 #include "runtime/realtime_context.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <memory>
@@ -203,6 +205,49 @@ TEST(RealtimeContext, PostRunsOnOwnerThread) {
   ASSERT_TRUE(waitForCondition([&] { return ran.load(); }));
   EXPECT_NE(workerId, std::this_thread::get_id());
   ctx.stop();
+}
+
+TEST(RealtimeContext, AttachedSocketIsDrainedOnTheNodeThreadUntilDetached) {
+  // A pipe stands in for a socket: the parked worker must wake for it,
+  // drain it on its own thread, and never touch it after the detach.
+  int pipeFds[2];
+  ASSERT_EQ(::pipe2(pipeFds, O_NONBLOCK), 0);
+  RealtimeContext ctx;
+  ctx.registerNode(3, [](Message&&) {});
+  std::atomic<int> bytesRead{0};
+  std::atomic<bool> offThread{false};
+  std::thread::id workerId;
+  std::atomic<bool> idKnown{false};
+  ctx.attachSocket(3, pipeFds[0], [&] {
+    char buf[16];
+    ssize_t n;
+    while ((n = ::read(pipeFds[0], buf, sizeof(buf))) > 0) {
+      bytesRead.fetch_add(static_cast<int>(n));
+    }
+    if (idKnown.load() && std::this_thread::get_id() != workerId) {
+      offThread.store(true);
+    }
+  });
+  ctx.start();
+  ctx.post(3, [&] {
+    workerId = std::this_thread::get_id();
+    idKnown.store(true);
+  });
+  ASSERT_TRUE(waitForCondition([&] { return idKnown.load(); }));
+  ASSERT_EQ(::write(pipeFds[1], "x", 1), 1);
+  ASSERT_TRUE(waitForCondition([&] { return bytesRead.load() == 1; }));
+  ctx.detachSocket(3);
+  ASSERT_EQ(::write(pipeFds[1], "y", 1), 1);
+  // The worker keeps running, and a timer's pass would drain the pipe
+  // if it were still attached.
+  std::atomic<int> passes{0};
+  for (int i = 0; i < 5; ++i) ctx.post(3, [&] { passes.fetch_add(1); });
+  ASSERT_TRUE(waitForCondition([&] { return passes.load() == 5; }));
+  ctx.stop();
+  EXPECT_EQ(bytesRead.load(), 1);
+  EXPECT_FALSE(offThread.load());
+  ::close(pipeFds[0]);
+  ::close(pipeFds[1]);
 }
 
 // Modelled CPU and disk time belong to the simulator: on a realtime

@@ -2,18 +2,25 @@
 // truncation/corruption rejection, dedup-window wraparound, fragment
 // reassembly, a seeded lossy-channel property test — all without
 // sockets), RetryBudget semantics, and loopback integration tests for
-// runtime::UdpContext itself (delivery, injected-loss recovery,
-// fragmentation over real sockets, dead-peer suspicion and healing,
-// counters).  Hermetic: every socket binds 127.0.0.1 on a
+// runtime::UdpContext itself (delivery, injected-loss recovery without
+// exhaustion, fragmentation over real sockets, dead-peer suspicion and
+// healing, acks riding on data, pacer wakes, stop order, spoofed
+// sources, counters).  Hermetic: every socket binds 127.0.0.1 on a
 // kernel-assigned port; all waits draw from RETRO_REALTIME_TIMEOUT_MS
 // via runtime::waitForCondition.
 #include "runtime/udp_context.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <random>
 #include <set>
@@ -126,6 +133,32 @@ TEST(DatagramCodec, TrailingGarbageIsRejected) {
   std::string bytes = encodeDatagram(d);
   bytes.push_back('\0');
   EXPECT_FALSE(decodeDatagram(bytes));
+}
+
+TEST(DatagramCodec, DataWithAcksRoundTripsAndRejectsEveryDamage) {
+  Datagram d;
+  d.from = 4;
+  d.to = 5;
+  d.seq = 17;
+  d.fragUid = 2;
+  d.ackedSeqs = {3, 4, 1ULL << 40};
+  d.chunk = "reply riding with its acks";
+  const std::string bytes = encodeDatagram(d);
+  auto out = decodeDatagram(bytes);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(out->kind, DatagramKind::kData);
+  EXPECT_EQ(out->seq, 17u);
+  EXPECT_EQ(out->ackedSeqs, d.ackedSeqs);
+  EXPECT_EQ(out->chunk, d.chunk);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(decodeDatagram(std::string_view(bytes.data(), len)))
+        << "truncation at " << len << " must not decode";
+  }
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string mutated = bytes;
+    mutated[i] ^= 0x40;
+    EXPECT_FALSE(decodeDatagram(mutated)) << "flip at byte " << i;
+  }
 }
 
 TEST(DatagramCodec, ChunkBodyCoversBodyExactly) {
@@ -618,6 +651,210 @@ TEST(UdpContext, CountersSnapshotMatchesAccessors) {
   EXPECT_EQ(c.get("retry.retransmits"), udp.retransmits());
   EXPECT_EQ(c.get("retry.exhausted"), udp.exhaustions());
   EXPECT_EQ(c.get("udp.crc_rejects"), 0u);
+}
+
+/// Sends `count` messages 1 -> 2 from node 1's own thread, 16 per pass
+/// as a streaming node would, so the node drains its socket and settles
+/// acks between batches.  Waits until each message arrived and nothing
+/// is left in flight.
+void streamOneWay(RealtimeContext& inner, UdpContext& udp, Receiver& rx,
+                  size_t count) {
+  constexpr size_t kPerPass = 16;
+  std::atomic<bool> sent{false};
+  auto sendFrom = std::make_shared<std::function<void(size_t)>>();
+  *sendFrom = [&, count, weak = std::weak_ptr(sendFrom)](size_t first) {
+    const size_t last = std::min(count, first + kPerPass);
+    for (size_t i = first; i < last; ++i) {
+      udp.send(Message{1, 2, 9, "stream-" + std::to_string(i)});
+    }
+    if (last == count) {
+      sent.store(true);
+    } else {
+      inner.post(1, [self = weak.lock(), last] { (*self)(last); });
+    }
+  };
+  inner.post(1, [sendFrom] { (*sendFrom)(0); });
+  ASSERT_TRUE(waitForCondition([&] {
+    return sent.load() && rx.count.load() >= count && udp.inFlight() == 0;
+  }));
+}
+
+TEST(UdpContext, InjectedLossNeverExhaustsTheDefaultBudget) {
+  // Every transmission draws its own loss roll, acks included: a seq
+  // exhausts its 8 attempts only if all of them, or every ack of them,
+  // is lost — never at 1-5 % loss.
+  for (const double loss : {0.01, 0.05}) {
+    SCOPED_TRACE("loss " + std::to_string(loss));
+    UdpConfig config;
+    config.datagramLossProbability = loss;
+    config.lossSeed = 5;
+    RealtimeContext inner;
+    UdpContext udp(inner, config);
+    Receiver rx;
+    udp.registerNode(1, [](Message&&) {});
+    udp.registerNode(2, rx.handler());
+    udp.start();
+    inner.start();
+    const size_t kMessages = 2000;
+    streamOneWay(inner, udp, rx, kMessages);
+    inner.stop();
+    udp.stop();
+    EXPECT_GT(udp.lossInjected(), 0u);
+    EXPECT_EQ(udp.exhaustions(), 0u);
+    EXPECT_EQ(rx.count.load(), kMessages);
+    std::lock_guard lk(rx.mu);
+    EXPECT_EQ(rx.byId.size(), kMessages);
+    for (auto& [id, n] : rx.byId) EXPECT_EQ(n, 1) << "msgId " << id;
+  }
+}
+
+TEST(UdpContext, RequestReplyAcksRideOnData) {
+  // Closed loop: node 1's handler sends the next request as each reply
+  // lands, and node 2's handler replies to each request, so every ack
+  // has data going its way within microseconds.
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  constexpr int kRoundTrips = 1000;
+  std::atomic<int> replies{0};
+  udp.registerNode(1, [&](Message&&) {
+    if (replies.fetch_add(1) + 1 < kRoundTrips) {
+      udp.send(Message{1, 2, 7, "request"});
+    }
+  });
+  udp.registerNode(2, [&](Message&&) { udp.send(Message{2, 1, 8, "reply"}); });
+  udp.start();
+  inner.start();
+  udp.send(Message{1, 2, 7, "request"});
+  ASSERT_TRUE(waitForCondition(
+      [&] { return replies.load() == kRoundTrips && udp.inFlight() == 0; }));
+  inner.stop();
+  udp.stop();
+  const uint64_t data = udp.datagramsSent() - udp.acksSent();
+  EXPECT_GE(data, 2u * kRoundTrips);
+  EXPECT_LE(udp.acksSent() * 2, data);
+}
+
+TEST(UdpContext, OneWayStreamCoalescesAcksAndLetsThePacerSleep) {
+  // No data flows back, so every ack goes out coalesced from node 2's
+  // timer, before any retransmit; and the pacer wakes only when a send
+  // brings its deadline forward, not once per send.  The base is
+  // widened from the 2-ms default because receiving a full 256-datagram
+  // window takes about 20 ms under a sanitizer, and a loaded host can
+  // stall a thread too; the ack delay scales with it (base / 8).
+  UdpConfig config;
+  config.retransmit.backoffBaseMicros = 50'000;
+  RealtimeContext inner;
+  UdpContext udp(inner, config);
+  Receiver rx;
+  udp.registerNode(1, [](Message&&) {});
+  udp.registerNode(2, rx.handler());
+  udp.start();
+  inner.start();
+  const size_t kMessages = 2000;
+  streamOneWay(inner, udp, rx, kMessages);
+  inner.stop();
+  udp.stop();
+  EXPECT_EQ(udp.retransmits(), 0u);
+  EXPECT_EQ(udp.dedupHits(), 0u);
+  EXPECT_EQ(udp.messagesDelivered(), kMessages);
+  const uint64_t data = udp.datagramsSent() - udp.acksSent();
+  EXPECT_EQ(data, kMessages);
+  // Coalesced: one ack datagram covers many seqs.
+  EXPECT_LE(udp.acksSent() * 4, data);
+  EXPECT_LE(udp.pacerWakes() * 10, data);
+  EXPECT_EQ(udp.counters().get("udp.pacer_wakes"), udp.pacerWakes());
+}
+
+TEST(UdpContext, StopBeforeInnerStopUnderTraffic) {
+  // Three nodes pass tokens around from their handlers.  Stopping the
+  // wire first must close no socket a worker still polls; the tokens
+  // then keep moving in-process until the workers stop.
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  std::atomic<uint64_t> hops{0};
+  for (NodeId id = 1; id <= 3; ++id) {
+    udp.registerNode(id, [&udp, &hops, id](Message&& m) {
+      hops.fetch_add(1);
+      udp.send(Message{id, static_cast<NodeId>(id % 3 + 1), 7, m.payload});
+    });
+  }
+  udp.start();
+  inner.start();
+  for (NodeId id = 1; id <= 3; ++id) {
+    for (int token = 0; token < 4; ++token) {
+      udp.send(Message{id, static_cast<NodeId>(id % 3 + 1), 7, "token"});
+    }
+  }
+  ASSERT_TRUE(waitForCondition([&] { return hops.load() >= 3000; }));
+  udp.stop();
+  const uint64_t sentAtStop = udp.datagramsSent();
+  const uint64_t hopsAtStop = hops.load();
+  ASSERT_TRUE(waitForCondition([&] { return hops.load() > hopsAtStop + 1000; }));
+  inner.stop();
+  EXPECT_EQ(udp.datagramsSent(), sentAtStop);
+  EXPECT_GT(udp.counters().get("udp.local_fallbacks"), 0u);
+}
+
+TEST(UdpContext, AckTimerOutlivingTheContextDoesNothing) {
+  RealtimeContext inner;
+  Receiver rx;
+  {
+    // A 400-ms base puts node 2's ack timer 50 ms out.
+    UdpConfig config;
+    config.retransmit.backoffBaseMicros = 400'000;
+    UdpContext udp(inner, config);
+    udp.registerNode(1, [](Message&&) {});
+    udp.registerNode(2, rx.handler());
+    udp.start();
+    inner.start();
+    udp.send(Message{1, 2, 7, "owes an ack"});
+    ASSERT_TRUE(waitForCondition([&] { return rx.count.load() == 1; }));
+  }
+  // The destroyed context's ack timer fires on node 2 before this one.
+  std::atomic<bool> later{false};
+  inner.schedule(2, 100'000, [&] { later.store(true); });
+  ASSERT_TRUE(waitForCondition([&] { return later.load(); }));
+  inner.stop();
+}
+
+TEST(UdpContext, SpoofedSourceIsDroppedAndCounted) {
+  RealtimeContext inner;
+  UdpContext udp(inner, UdpConfig{});
+  Receiver rx;
+  udp.registerNode(1, [](Message&&) {});
+  udp.registerNode(2, rx.handler());
+  udp.start();
+  inner.start();
+  // A well-formed datagram claiming to come from node 1, sent from a
+  // socket that is not node 1's.
+  Datagram d;
+  d.from = 1;
+  d.to = 2;
+  d.seq = 1;
+  d.fragUid = 1;
+  d.chunk = encodeMessageBody(Message{1, 2, 7, "forged", 99});
+  const std::string bytes = encodeDatagram(d);
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  to.sin_port = htons(udp.portOf(2));
+  ASSERT_EQ(::sendto(fd, bytes.data(), bytes.size(), 0,
+                     reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(fd);
+  ASSERT_TRUE(waitForCondition([&] { return udp.sourceRejects() == 1; }));
+  // The forgery never reached the dedup window: node 1's own seq 1 is
+  // delivered.
+  udp.send(Message{1, 2, 7, "genuine"});
+  ASSERT_TRUE(waitForCondition([&] { return rx.count.load() == 1; }));
+  inner.stop();
+  udp.stop();
+  EXPECT_EQ(udp.counters().get("udp.source_rejects"), 1u);
+  std::lock_guard lk(rx.mu);
+  ASSERT_EQ(rx.payloads.size(), 1u);
+  EXPECT_EQ(rx.payloads.begin()->second, "genuine");
 }
 
 TEST(UdpContext, SendAfterStopFallsBackWithoutCrashing) {

@@ -383,6 +383,45 @@ TEST(WindowLogIndexEdge, KeyChainProbeResumesThroughTrimsAndRehash) {
   EXPECT_GT(wlog.liveKeyCount(), 2 * keysAtStart + 10);
 }
 
+TEST(WindowLogIndexEdge, HotKeyChainStaysExactThroughCompactions) {
+  // One key takes nearly every write under a 40-entry bound, so its chain
+  // is pushed at the back and popped at the front 120k times and its dead
+  // prefix is compacted over and over; a cold key writes every 97th
+  // append and must keep its own short chain straight throughout.
+  WindowLogConfig cfg;
+  cfg.maxEntries = 40;
+  cfg.indexStrideEntries = 16;
+  WindowLog wlog(cfg);
+  NaiveWindowLog naive(cfg);
+  for (int64_t l = 1; l <= 120'000; ++l) {
+    const Key key = l % 97 == 0 ? "cold" : "hot";
+    const Value oldV("o" + std::to_string(l));
+    const Value newV("n" + std::to_string(l));
+    wlog.append(key, oldV, newV, ts(l));
+    naive.append(key, oldV, newV, ts(l));
+    if (l % 4999 != 0) continue;
+    SCOPED_TRACE("append " + std::to_string(l));
+    ASSERT_TRUE(wlog.validateIndex());
+    expectSameState(wlog, naive);
+    static constexpr int64_t kBacks[] = {0, 1, 20, 39};
+    for (const int64_t back : kBacks) {
+      DiffStats is, ns;
+      expectSameDiff(wlog.diffToPast(ts(l - back), &is), is,
+                     naive.diffToPast(ts(l - back), &ns), ns, "diffToPast");
+      expectSameDiff(wlog.diffForward(ts(l - back), ts(l), &is), is,
+                     naive.diffForward(ts(l - back), ts(l), &ns), ns,
+                     "diffForward");
+      expectSameDiff(wlog.diffBackward(ts(l), ts(l - back), &is), is,
+                     naive.diffBackward(ts(l), ts(l - back), &ns), ns,
+                     "diffBackward");
+    }
+    EXPECT_EQ(wlog.historyFor("hot").size() + wlog.historyFor("cold").size(),
+              wlog.entryCount());
+  }
+  EXPECT_EQ(wlog.entryCount(), 40u);
+  EXPECT_EQ(wlog.trimmedCount(), 120'000u - 40u);
+}
+
 TEST(WindowLogIndexEdge, FloorPassingAScansStartRefuses) {
   WindowLog wlog;
   for (int i = 1; i <= 40; ++i) {
