@@ -53,6 +53,16 @@ class ByteReader {
   /// every item takes at least `minBytesPerItem` bytes, so a count the
   /// remaining input cannot hold throws std::out_of_range.
   uint64_t readCount(size_t minBytesPerItem);
+  /// A one-byte field no greater than `last` (an enum's last value or a
+  /// numeric bound); a larger byte throws std::out_of_range.
+  template <typename T>
+  T readBounded(T last) {
+    const uint8_t b = readU8();
+    if (b > static_cast<uint8_t>(last)) {
+      throw std::out_of_range("ByteReader: byte out of range");
+    }
+    return static_cast<T>(b);
+  }
 
   size_t remaining() const { return data_.size() - pos_; }
   bool atEnd() const { return pos_ == data_.size(); }

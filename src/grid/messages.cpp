@@ -78,7 +78,7 @@ GridSnapshotStartBody GridSnapshotStartBody::readFrom(ByteReader& r) {
   GridSnapshotStartBody b;
   b.request.id = r.readVarU64();
   b.request.target = hlc::Timestamp::readFrom(r);
-  b.request.kind = static_cast<core::SnapshotKind>(r.readU8());
+  b.request.kind = r.readBounded(core::SnapshotKind::kRolling);
   if (r.readU8() != 0) b.request.baseId = r.readVarU64();
   b.request.storeName = r.readBytes();
   return b;
@@ -95,7 +95,7 @@ GridSnapshotAckBody GridSnapshotAckBody::readFrom(ByteReader& r) {
   GridSnapshotAckBody b;
   b.ack.id = r.readVarU64();
   b.ack.node = r.readU32();
-  b.ack.status = static_cast<core::LocalSnapshotStatus>(r.readU8());
+  b.ack.status = r.readBounded(core::LocalSnapshotStatus::kRebalancing);
   b.ack.persistedBytes = r.readVarU64();
   return b;
 }

@@ -113,11 +113,17 @@ struct Received {
   Body body;
 };
 
+/// Bound (exclusive) on a received header's l: 2^47 ms, about 4 460 years
+/// past the epoch, so a tick on it stays packable (l < 2^48).
+inline constexpr int64_t kMaxReceivedMillis = int64_t{1} << 47;
+
 /// Decode-or-reject for receive paths: `payload` must be the 8-byte HLC
 /// header (absent when `withHeader` is false) followed by exactly one
-/// `Body`.  Truncated input, a count the input cannot hold and trailing
-/// bytes all yield nullopt instead of throwing.  Unlike unwrapHlc it
-/// does not tick the clock, so a rejected message leaves it untouched.
+/// `Body`.  Truncated input, a count the input cannot hold, an enum byte
+/// past its last value, trailing bytes and a header at or past
+/// kMaxReceivedMillis all yield nullopt instead of throwing.  Unlike
+/// unwrapHlc it does not tick the clock, so a rejected message leaves it
+/// untouched.
 template <typename Body>
 std::optional<Received<Body>> decodeMessage(std::string_view payload,
                                             bool withHeader = true) {
@@ -125,6 +131,7 @@ std::optional<Received<Body>> decodeMessage(std::string_view payload,
   try {
     Received<Body> m;
     if (withHeader) m.ts = Timestamp::readFrom(r);
+    if (m.ts.l >= kMaxReceivedMillis) return std::nullopt;
     m.body = Body::readFrom(r);
     if (r.atEnd()) return m;
   } catch (const std::out_of_range&) {

@@ -24,7 +24,7 @@ void MemberRecord::writeTo(ByteWriter& w) const {
 
 MemberRecord MemberRecord::readFrom(ByteReader& r) {
   MemberRecord rec;
-  rec.status = static_cast<MemberStatus>(r.readU8());
+  rec.status = r.readBounded(MemberStatus::kDead);
   rec.heartbeat = r.readVarU64();
   rec.statusEpoch = r.readVarU64();
   return rec;

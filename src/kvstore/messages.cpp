@@ -87,7 +87,7 @@ SnapshotRequestBody SnapshotRequestBody::readFrom(ByteReader& r) {
   SnapshotRequestBody b;
   b.request.id = r.readVarU64();
   b.request.target = hlc::Timestamp::readFrom(r);
-  b.request.kind = static_cast<core::SnapshotKind>(r.readU8());
+  b.request.kind = r.readBounded(core::SnapshotKind::kRolling);
   if (r.readU8() != 0) b.request.baseId = r.readVarU64();
   b.request.storeName = r.readBytes();
   b.request.viewEpoch = r.readVarU64();
@@ -105,7 +105,7 @@ SnapshotAckBody SnapshotAckBody::readFrom(ByteReader& r) {
   SnapshotAckBody b;
   b.ack.id = r.readVarU64();
   b.ack.node = r.readU32();
-  b.ack.status = static_cast<core::LocalSnapshotStatus>(r.readU8());
+  b.ack.status = r.readBounded(core::LocalSnapshotStatus::kRebalancing);
   b.ack.persistedBytes = r.readVarU64();
   return b;
 }
@@ -129,8 +129,8 @@ void ProgressReplyBody::writeTo(ByteWriter& w) const {
 ProgressReplyBody ProgressReplyBody::readFrom(ByteReader& r) {
   ProgressReplyBody b;
   b.snapshotId = r.readVarU64();
-  b.status = static_cast<core::LocalSnapshotStatus>(r.readU8());
-  b.stage = r.readU8();
+  b.status = r.readBounded(core::LocalSnapshotStatus::kRebalancing);
+  b.stage = r.readBounded(uint8_t{3});  // copy, compaction, application, done
   return b;
 }
 
@@ -307,7 +307,7 @@ void QueryReplyBody::writeTo(ByteWriter& w) const {
 QueryReplyBody QueryReplyBody::readFrom(ByteReader& r) {
   QueryReplyBody b;
   b.queryId = r.readVarU64();
-  b.statusCode = static_cast<StatusCode>(r.readU8());
+  b.statusCode = r.readBounded(StatusCode::kInvalidArgument);
   b.reason = r.readBytes();
   // timestamp, two varints and three u64 of the partial aggregate
   const uint64_t count = r.readCount(hlc::Timestamp::kWireSize + 2 + 3 * 8);

@@ -4,15 +4,18 @@
 // window-log compaction -> window-log application) for full, rolling and
 // incremental snapshots.
 //
-// Simulation cost model: request handling occupies the node's Executor
-// for a configurable service time; snapshot work (copy CPU, compaction,
-// application) shares the same executor and the same disk as foreground
-// traffic, so the throughput dips of Fig. 12 emerge from contention.
-// The Executor and SimDisk charge this modelled time only under the
-// simulator; on a realtime context every task runs as soon as the node
-// thread reaches it.
-// A synthetic JVM-heap model converts window-log growth into GC slowdown
-// and, past the limit, an OutOfMemory crash (Fig. 13).
+// Simulation cost model: every modelled charge comes from SimCosts
+// (sim_costs.hpp).  Requests occupy the node's Executor for a service
+// time; snapshot and query work runs in bounded chunks on the same
+// executor and disk as foreground traffic, so the throughput dips of
+// Fig. 12 emerge from contention.  The Executor and SimDisk charge only
+// under the simulator, which alone also runs SimCosts' JVM-heap model
+// (GC slowdown and, past the limit, an OutOfMemory crash; Fig. 13).
+//
+// By job: server.cpp (construction, daemons, crash/restart, receive,
+// put, get, progress), server_snapshot.cpp (Fig. 8), server_query.cpp,
+// server_storage.cpp (WAL replay, rot, scrub, repair),
+// server_membership.cpp (gossip, join, leave), server_transfer.cpp.
 #pragma once
 
 #include <map>
@@ -30,6 +33,7 @@
 #include "log/wal.hpp"
 #include "kvstore/messages.hpp"
 #include "kvstore/ring.hpp"
+#include "kvstore/sim_costs.hpp"
 #include "runtime/execution_context.hpp"
 #include "sim/clock_model.hpp"
 #include "sim/disk.hpp"
@@ -70,21 +74,18 @@ struct ServerConfig {
   /// page-cache churn).
   double copyCpuMicrosPerMB = 3200;
   /// Bytes of work in one executor task of a snapshot or a temporal
-  /// query; foreground ops run between chunks.  The budget counts the
-  /// key + value bytes a full snapshot copies or a query folds, the key +
-  /// old + new value bytes of the window-log entries a compaction or a
-  /// query's replay walks (a key-chain probe counts each probed key and
-  /// twice each entry it finds), and the
-  /// key + twice the value bytes of each delta entry a snapshot applies
-  /// (it replaces a value); a query's replay counts an applied entry
-  /// twice that.
+  /// query; foreground ops run between chunks.  It counts the key + value
+  /// bytes a full snapshot copies or a query folds, the key + old + new
+  /// value bytes of the window-log entries a compaction or a replay walks
+  /// (a key-chain probe counts each probed key and twice each entry it
+  /// finds), and key + twice the value bytes per delta entry a snapshot
+  /// applies (twice that in a query's replay).
   uint64_t copyChunkBytes = 256ull << 10;
   double compactionMicrosPerEntry = 0.4;
   double applyMicrosPerEntry = 1.0;
-  /// CPU per index probe of the indexed diff engine: one sparse-index or
-  /// key-chain binary search, plus one per candidate key examined.  Far
-  /// cheaper than materializing an entry, but not free — keeps the
-  /// simulated latencies honest about the new traversal's overhead.
+  /// CPU per index probe of the indexed diff engine: a sparse-index or
+  /// key-chain binary search, or a candidate key examined.  Far cheaper
+  /// than materializing an entry, but not free.
   double indexProbeMicros = 0.05;
 
   // --- concurrent-snapshot optimization (§III-A) ---
@@ -131,9 +132,8 @@ struct ServerConfig {
     /// into recovered state — the fuzz harness's negative control for
     /// the "detected or correct, never silently wrong" oracle.
     bool checksums = true;
-    /// Simulated CPU per MB for computing/verifying checksums (charged
-    /// on the snapshot copy path and the recovery scan; hardware CRC32C
-    /// runs at several GB/s).
+    /// Simulated CPU per MB for computing/verifying checksums on the
+    /// snapshot copy path and the recovery scan.
     double checksumMicrosPerMB = 150;
   };
   IntegrityOptions integrity;
@@ -142,9 +142,8 @@ struct ServerConfig {
   /// per-server model derives its stream from this seed and the node id.
   sim::StorageFaultConfig storageFaults;
 
-  /// Elastic membership (gossip, join/leave, key-range rebalance).
-  /// Disabled by default: the cluster then runs on the static ring with
-  /// zero gossip traffic, exactly as before.
+  /// Elastic membership (gossip, join/leave, key-range rebalance); off,
+  /// the cluster runs on the static ring with no gossip traffic.
   MembershipConfig membership;
 };
 
@@ -166,7 +165,6 @@ class VoldemortServer {
   const store::BdbStore& bdb() const { return *bdb_; }
   core::SnapshotStore& snapshots() { return snapshotStore_; }
   const core::SnapshotStore& snapshots() const { return snapshotStore_; }
-  sim::MemoryModel& memory() { return memory_; }
   sim::Executor& executor() { return executor_; }
   sim::SimDisk& disk() { return *disk_; }
 
@@ -191,8 +189,8 @@ class VoldemortServer {
   /// Consistent reset (§IX): replace the live database with the contents
   /// of a stored snapshot — "the database needs to be closed, the BDB
   /// files copied from the snapshot location into the environment
-  /// location, and the database reopened".  Most of the (simulated) time
-  /// is the file copy.  `done` fires when the store is serving again.
+  /// location, and the database reopened".  `done` fires when the store
+  /// is serving again.
   void restoreFromSnapshot(core::SnapshotId id,
                            std::function<void(Status)> done);
 
@@ -210,13 +208,10 @@ class VoldemortServer {
     appendObserver_ = std::move(observer);
   }
 
-  /// Observer invoked at the instant a snapshot's content is fixed —
-  /// state capture for full snapshots, delta computation for
-  /// incremental/rolling ones.  The fuzz oracle uses it to mark how much
-  /// shadow history the snapshot could possibly reflect: under elastic
-  /// membership, rebalance grafts append history with timestamps in the
-  /// past, so "everything with ts <= target" overshoots any snapshot
-  /// captured before the graft arrived.
+  /// Observer invoked when a snapshot's content is fixed (state capture
+  /// for full snapshots, the delta for others).  The fuzz oracle bounds
+  /// the shadow history a snapshot can reflect with it: rebalance grafts
+  /// append history in the past, after the capture.
   void setSnapshotCaptureObserver(std::function<void(core::SnapshotId)> obs) {
     captureObserver_ = std::move(obs);
   }
@@ -225,7 +220,11 @@ class VoldemortServer {
   /// peer servers a scrub may ask to rebuild quarantined keys.
   /// `replicas` is the replication factor keys were written with.
   void setRepairTopology(const Ring* ring, std::vector<NodeId> peers,
-                         size_t replicas);
+                         size_t replicas) {
+    ring_ = ring;
+    repairPeers_ = std::move(peers);
+    replicationFactor_ = replicas;
+  }
 
   /// This node's corruption fault model (fuzz fault injector arms it).
   sim::StorageFaultModel& storageFaults() { return *faults_; }
@@ -260,13 +259,12 @@ class VoldemortServer {
   uint64_t duplicateSnapshotRequests() const {
     return duplicateSnapshotRequests_;
   }
-  /// Received messages dropped undelivered: truncated, trailing bytes,
-  /// a count the payload cannot hold, or a type this node does not serve.
+  /// Received messages dropped undelivered: every one hlc::decodeMessage
+  /// rejects, and every type this node does not serve.
   uint64_t malformedMessages() const { return malformedMessages_; }
 
-  /// Running totals over every window-log diff computed for snapshots on
-  /// this node, and the number of diff calls folded in (bench/metrics
-  /// reporting: simulated snapshot CPU is charged from exactly these).
+  /// Running totals over every window-log diff computed on this node,
+  /// and the number of diff calls folded in (bench/metrics reporting).
   const log::DiffStats& diffTotals() const { return diffTotals_; }
   uint64_t diffCalls() const { return diffCalls_; }
 
@@ -304,24 +302,20 @@ class VoldemortServer {
   struct ActiveSnapshot {
     core::SnapshotRequest request;
     NodeId initiator = 0;
-    /// Semantic capture of the database contents at captureTime (the
-    /// closed segments hold exactly this state in the real system),
-    /// copied from `view` one chunk per executor task.
+    /// The database contents at captureTime (the closed segments in the
+    /// real system), copied from `view` one chunk per executor task.
     std::unordered_map<Key, Value> stateAtCapture;
     store::BdbStore::View view;
-    /// Keys grafted while the state was copying or compacting: unknown
-    /// here at captureTime, so they stay out of the snapshot even though
-    /// their grafted history reaches below it.
+    /// Keys grafted during the copy or compaction: unknown here at
+    /// captureTime, so they stay out although their history reaches below.
     std::vector<Key> graftedSinceCapture;
     hlc::Timestamp captureTime;
-    /// Compaction reads the delta through this scan one chunk per task.
+    /// Compaction reads the delta through this scan one chunk per task;
+    /// a full snapshot then drains it into stateAtCapture the same way.
     log::DiffScan scan;
-    /// The computed delta; a full snapshot drains it into stateAtCapture
-    /// one chunk per task.
     log::DiffMap delta;
     log::DiffStats deltaStats;
-    /// Copy-stage parts still running: the hot backup's disk copy and
-    /// the chunked state copy.
+    /// Copy-stage parts still running: the hot backup and the state copy.
     uint8_t copyPartsLeft = 0;
     uint8_t stage = 0;  // 0 copy, 1 compaction, 2 application, 3 done
   };
@@ -333,33 +327,41 @@ class VoldemortServer {
     NodeId from = 0;
     uint64_t queryId = 0;
     core::PartialsEvaluator eval;
-    /// The finish's work so far (the reply reports its key counts).
+    /// The replay's work so far (the reply reports its key counts).
     core::ReplayStats stats;
     store::BdbStore::View view;
     hlc::Timestamp t0;
     /// historyGrafts_ when the view opened.
     uint64_t grafts = 0;
+    bool folded = false;  ///< the store is folded; the replay runs
   };
 
-  /// A request handler: runs on the executor with the receive event's
-  /// HLC time, the sender and the decoded body.
+  /// Runs on the executor with the receive's HLC time, sender and body.
   template <typename Body>
   using Handler = void (VoldemortServer::*)(hlc::Timestamp eventTs,
                                             NodeId from, Body body);
 
   void onMessage(sim::Message&& msg);
-  /// The receive path every served type shares: decode-or-reject, then
-  /// queue `handler` on the executor behind `cost` (micros, or a
-  /// function of the body).  The task checks the incarnation, ticks the
-  /// HLC and records the receive in the trace before it handles.
-  template <typename Body, typename Cost>
-  void serve(const sim::Message& msg, Cost cost, Handler<Body> handler);
-  /// Modelled put cost, read at receive time: service time, plus the
-  /// window-log append and its GC coupling while the log is on.
-  TimeMicros putMicros() const;
+  /// Decode-or-reject, then queue `handler` on the executor behind the
+  /// request's charge; the task ticks the HLC and traces the receive.
+  template <typename Body>
+  void serve(const sim::Message& msg, Handler<Body> handler);
+  /// Stamp a send event's HLC onto `body` and send it to `to`.
+  template <typename Body>
+  void send(NodeId to, uint32_t type, const Body& body) {
+    ByteWriter w;
+    const hlc::Timestamp ts = retroscope_.wrapHLC(w);
+    body.writeTo(w);
+    const uint64_t msgId = ctx_->send(sim::Message{id_, to, type, w.take()});
+    if (trace_) trace_->onSend(id_, msgId, ts);
+  }
 
   void handlePut(hlc::Timestamp eventTs, NodeId from, PutRequestBody body);
   void handleGet(hlc::Timestamp eventTs, NodeId from, GetRequestBody body);
+  /// Stamp this node's view epoch, and its view for a client that routed
+  /// under an older one.
+  template <typename Response>
+  void stampView(Response& resp, uint64_t clientEpoch);
   void handleSnapshotRequest(hlc::Timestamp eventTs, NodeId from,
                              SnapshotRequestBody body);
   void handleQueryRequest(hlc::Timestamp eventTs, NodeId from,
@@ -371,10 +373,11 @@ class VoldemortServer {
   void handleRepairResponse(hlc::Timestamp eventTs, NodeId from,
                             RepairResponseBody body);
 
-  /// Append one change to the window-log, the WAL journal and the
-  /// shadow-history observer together (the state==log invariant).
+  /// Append a change to the window-log, WAL and observer together.
   void logAppend(const Key& key, OptValue oldValue, OptValue newValue,
                  hlc::Timestamp ts);
+  /// Drop the window-log's history through now and re-seed the WAL.
+  void truncateLogToNow();
 
   // --- corruption-aware recovery + scrub (storage integrity) ---
   void recoverStorage();
@@ -383,43 +386,61 @@ class VoldemortServer {
   void startScrub();
   void scrubStep();
   void completeScrub();
-  NodeId repairTargetFor(const Key& key) const;
-  size_t repairCandidateCount(const Key& key) const;
+  /// The replicas a quarantined key may be rebuilt from.
+  std::vector<NodeId> repairCandidates(const Key& key) const;
+  /// Take `key` out of quarantine, counting why under `counter`.
+  void releaseQuarantined(const Key& key, const char* counter);
+
+  /// One chunk of a stage: its modelled charge, and whether it was last.
+  struct Chunk { TimeMicros cost = 0; bool last = false; };
+  /// One chunk of snapshot or query `id`; nullopt when the stage ended
+  /// without a charge (the task is gone, failed or started over).
+  using ChunkStep = std::optional<Chunk> (VoldemortServer::*)(uint64_t id);
+  using Stage = void (VoldemortServer::*)(uint64_t id);
+  /// Every chunked stage's driver: run `step`, submit its charge, then
+  /// (unless a crash came between) `step` again or, after the last, `next`.
+  void runChunks(uint64_t id, ChunkStep step, Stage next);
 
   void startSnapshot(ActiveSnapshot active);
-  /// Copy the next chunk of the state at captureTime, then charge its
-  /// CPU and queue the next chunk.
-  void copyChunk(core::SnapshotId id);
+  /// Copy the next chunk of the state at captureTime.
+  std::optional<Chunk> copyChunk(core::SnapshotId id);
   void copyPartDone(core::SnapshotId id);
   /// Start the compaction stage: scan the window-log for the delta.
   void snapshotCompaction(core::SnapshotId id);
-  /// Scan the next chunk of the delta, then charge its CPU and queue the
-  /// next chunk or, after the last, the application stage.
-  void compactChunk(core::SnapshotId id);
+  std::optional<Chunk> compactChunk(core::SnapshotId id);
   /// Deep retrospection through the disk archive, in one task.
   void compactThroughArchive(core::SnapshotId id);
   void snapshotApply(core::SnapshotId id);
-  /// Drain the next chunk of a full snapshot's delta into its state.
-  void applyChunk(core::SnapshotId id);
+  /// Drain a chunk of a full snapshot's delta into its state; other
+  /// kinds apply theirs when stored, in one chunk.
+  std::optional<Chunk> applyChunk(core::SnapshotId id);
   /// Write the applied differences to the snapshot copy, then store it.
   void writeSnapshot(core::SnapshotId id);
   void storeSnapshot(core::SnapshotId id);
   void finishSnapshot(core::SnapshotId id, core::LocalSnapshotStatus status,
                       size_t persistedBytes);
+  /// finishSnapshot for a failed diff: kOutOfReach when the window-log
+  /// no longer reaches, kFailed otherwise.
+  void failSnapshot(core::SnapshotId id, const Status& why);
+  void sendSnapshotAck(NodeId to, core::SnapshotId id,
+                       core::LocalSnapshotStatus status, size_t persistedBytes);
+  /// A removed snapshot's disposer: keep the larger state for the next
+  /// copy, and free the rest off this thread.
+  void recycle(core::LocalSnapshot&& snap);
+  /// Free a recycled state no copy took for a whole checkpoint period.
+  void ageRecycledState();
 
   /// Open (or reopen) a query's view at `t0` and forget what it folded.
   void openQueryView(ActiveQuery& q, hlc::Timestamp t0);
-  /// Fold the next chunk of the store into the query, then queue the
-  /// next chunk or, after the last, finishQuery.
-  void foldQueryChunk(uint64_t key);
-  /// Replay the next chunk of the grid, then queue the next chunk or,
-  /// after the last, the reply.
-  void finishQuery(uint64_t key);
+  /// Fold the next chunk of the store into the query or, once folded,
+  /// replay the next chunk of its grid.
+  std::optional<Chunk> queryChunk(uint64_t key);
+  void replyQuery(uint64_t key);
+  void refuseQuery(NodeId to, uint64_t queryId, const Status& why);
 
   void updateMemoryModel();
   void archiveTick();
   void checkpointTick();
-  void send(NodeId to, uint32_t type, const std::function<void(ByteWriter&)>& body);
 
   // --- membership / rebalance internals ---
   /// One outbound key-range stream (stop-and-wait, cumulative acks).
@@ -459,7 +480,8 @@ class VoldemortServer {
   void startTransferTo(NodeId target, const Ring& targetRing, bool drain);
   void sendTransferChunk(uint64_t transferId);
   void transferChunkTimeout(uint64_t transferId, uint64_t generation);
-  void abortTransfer(uint64_t transferId);
+  /// Drop an outbound stream, counting its outcome under `counter`.
+  void endTransfer(uint64_t transferId, const char* counter);
   /// Apply one transferred item; returns true if per-key history was
   /// grafted into the window-log (caller re-syncs the WAL).
   bool applyTransferItem(const TransferItemWire& item, hlc::Timestamp eventTs,
@@ -470,7 +492,9 @@ class VoldemortServer {
   void noteAdmission();
   void activateSelf(bool historyIncomplete);
   void finishLeaveDrain();
-  Ring ringOver(std::vector<NodeId> members) const;
+  Ring ringOver(std::vector<NodeId> members) const {
+    return Ring(std::move(members), ringVirtualNodes_);
+  }
 
   // --- membership state ---
   MembershipView view_;
@@ -519,7 +543,7 @@ class VoldemortServer {
   std::unique_ptr<log::LogArchive> archive_;
   std::unique_ptr<log::WalJournal> wal_;
   core::SnapshotStore snapshotStore_;
-  sim::MemoryModel memory_;
+  SimCosts costs_;
   std::function<void(const log::Entry&)> appendObserver_;
   std::function<void(core::SnapshotId)> captureObserver_;
 

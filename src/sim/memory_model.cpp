@@ -6,10 +6,7 @@ namespace retro::sim {
 
 bool MemoryModel::setLiveBytes(uint64_t bytes) {
   liveBytes_ = bytes;
-  if (!outOfMemory_ && liveBytes_ > config_.heapLimitBytes) {
-    outOfMemory_ = true;
-    if (onOom_) onOom_();
-  }
+  if (liveBytes_ > config_.heapLimitBytes) outOfMemory_ = true;
   return !outOfMemory_;
 }
 

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace retro::sim {
 
@@ -31,7 +30,6 @@ class MemoryModel {
   /// baseline) and recompute GC state. Returns false once the node has
   /// died of OutOfMemory.
   bool setLiveBytes(uint64_t bytes);
-  uint64_t liveBytes() const { return liveBytes_; }
 
   /// Fraction of the heap in use, [0, 1+].
   double utilization() const;
@@ -39,18 +37,13 @@ class MemoryModel {
   /// Executor slowdown factor implied by current GC pressure (>= 1).
   double gcSlowdownFactor() const;
 
+  /// True from the first update past the heap limit on.
   bool isOutOfMemory() const { return outOfMemory_; }
-
-  /// Invoked exactly once when the heap limit is exceeded.
-  void setOnOutOfMemory(std::function<void()> fn) { onOom_ = std::move(fn); }
-
-  const MemoryModelConfig& config() const { return config_; }
 
  private:
   MemoryModelConfig config_;
   uint64_t liveBytes_ = 0;
   bool outOfMemory_ = false;
-  std::function<void()> onOom_;
 };
 
 }  // namespace retro::sim

@@ -35,15 +35,12 @@ TEST(MemoryModel, OutOfMemoryAtLimit) {
   MemoryModelConfig cfg;
   cfg.heapLimitBytes = 1000;
   MemoryModel m(cfg);
-  int oomCalls = 0;
-  m.setOnOutOfMemory([&] { ++oomCalls; });
   EXPECT_TRUE(m.setLiveBytes(1000));   // exactly at limit: still alive
   EXPECT_FALSE(m.setLiveBytes(1001));  // over: dead
   EXPECT_TRUE(m.isOutOfMemory());
-  EXPECT_EQ(oomCalls, 1);
-  // OOM fires only once.
-  m.setLiveBytes(2000);
-  EXPECT_EQ(oomCalls, 1);
+  // Death is final, even once the live bytes fall back.
+  EXPECT_FALSE(m.setLiveBytes(500));
+  EXPECT_TRUE(m.isOutOfMemory());
 }
 
 TEST(MemoryModel, UtilizationFraction) {

@@ -331,13 +331,15 @@ TEST(GridMessages, SnapshotStartRoundTrip) {
 
 constexpr uint64_t kHugeCount = uint64_t{1} << 40;
 
-/// One valid encoding of a body type, its decoder, and encodings that
-/// stop at a count field claiming 2^40 items.
+/// One valid encoding of a body type, its decoder, encodings that stop
+/// at a count field claiming 2^40 items, and encodings with one enum
+/// field's byte past its last value.
 struct WireSample {
   uint32_t type = 0;
   std::string body;
   std::function<void(ByteReader&)> decode;
   std::vector<std::string> hugeCounts;
+  std::vector<std::string> badEnums;
 };
 
 /// `fields` as varints, then a count of 2^40.  A u8 flag, an empty
@@ -351,12 +353,25 @@ std::string hugeCountAfter(std::vector<uint64_t> fields) {
 }
 
 template <typename Body>
-WireSample sample(uint32_t type, const Body& body,
-                  std::vector<std::string> hugeCounts = {}) {
+std::string encode(const Body& body) {
   ByteWriter w;
   body.writeTo(w);
-  return {type, w.take(), [](ByteReader& r) { Body::readFrom(r); },
-          std::move(hugeCounts)};
+  return w.take();
+}
+
+template <typename Body>
+WireSample sample(uint32_t type, const Body& body,
+                  std::vector<std::string> hugeCounts = {},
+                  std::vector<Body> badEnums = {}) {
+  std::vector<std::string> bad;
+  for (const Body& b : badEnums) bad.push_back(encode(b));
+  return {type, encode(body), [](ByteReader& r) { Body::readFrom(r); },
+          std::move(hugeCounts), std::move(bad)};
+}
+
+template <typename Enum>
+Enum pastLast(Enum last) {
+  return static_cast<Enum>(static_cast<uint8_t>(last) + 1);
 }
 
 /// Every kv body type, in MsgType order, with its collections non-empty
@@ -365,8 +380,13 @@ std::vector<WireSample> kvSamples() {
   kv::VersionVector vv;
   vv.increment(3);
   kv::MembershipView view({0, 1, 2});
+  kv::MembershipView badView = view;
+  badView.setStatus(1, pastLast(kv::MemberStatus::kDead));
   core::SnapshotRequest req{42, {1234, 5}, core::SnapshotKind::kRolling, 41,
                             "store", 2};
+  core::SnapshotRequest badReq = req;
+  badReq.kind = pastLast(core::SnapshotKind::kRolling);
+  const auto badStatus = pastLast(core::LocalSnapshotStatus::kRebalancing);
   kv::TransferItemWire item{"k", "v", vv, {{"k", std::nullopt, "v", {9, 1}}}};
   // Transfer id, source, chunk seq, done flag, 8-byte source floor; then
   // one item with an empty key and value and no version entries.
@@ -381,13 +401,19 @@ std::vector<WireSample> kvSamples() {
       sample(kv::kGetRequest, kv::GetRequestBody{5, "user:1", 2}),
       sample(kv::kGetResponse, kv::GetResponseBody{5, "data", vv, 2, view},
              {hugeCountAfter({5, 0})}),
-      sample(kv::kSnapshotRequest, kv::SnapshotRequestBody{req}),
+      sample(kv::kSnapshotRequest, kv::SnapshotRequestBody{req}, {},
+             {kv::SnapshotRequestBody{badReq}}),
       sample(kv::kSnapshotAck,
              kv::SnapshotAckBody{
-                 {42, 1, core::LocalSnapshotStatus::kComplete, 999}}),
+                 {42, 1, core::LocalSnapshotStatus::kComplete, 999}},
+             {}, {kv::SnapshotAckBody{{42, 1, badStatus, 999}}}),
       sample(kv::kProgressRequest, kv::ProgressRequestBody{42}),
       sample(kv::kProgressReply,
-             kv::ProgressReplyBody{42, core::LocalSnapshotStatus::kPending, 1}),
+             kv::ProgressReplyBody{42, core::LocalSnapshotStatus::kPending, 1},
+             {},
+             {kv::ProgressReplyBody{42, badStatus, 1},
+              kv::ProgressReplyBody{42, core::LocalSnapshotStatus::kPending,
+                                    4}}),
       sample(kv::kRepairRequest, kv::RepairRequestBody{11, {"a", "b"}},
              {hugeCountAfter({11})}),
       sample(kv::kRepairResponse,
@@ -397,8 +423,11 @@ std::vector<WireSample> kvSamples() {
       sample(kv::kQueryRequest, kv::QueryRequestBody{3, "COUNT(*) AT 5"}),
       sample(kv::kQueryReply,
              kv::QueryReplyBody{3, StatusCode::kOk, "", {{{9, 1}, {}}}, 10, 2},
-             {hugeCountAfter({3, 0, 0})}),
-      sample(kv::kGossip, kv::GossipBody{view}, {hugeCountAfter({})}),
+             {hugeCountAfter({3, 0, 0})},
+             {kv::QueryReplyBody{3, pastLast(StatusCode::kInvalidArgument),
+                                 "", {}, 10, 2}}),
+      sample(kv::kGossip, kv::GossipBody{view}, {hugeCountAfter({})},
+             {kv::GossipBody{badView}}),
       sample(kv::kJoinRequest, kv::JoinRequestBody{9}),
       sample(kv::kJoinResponse, kv::JoinResponseBody{view},
              {hugeCountAfter({})}),
@@ -412,16 +441,23 @@ std::vector<WireSample> kvSamples() {
 /// Every grid body type, in GridMsgType order.
 std::vector<WireSample> gridSamples() {
   core::SnapshotRequest req{5, {999, 1}, core::SnapshotKind::kFull, 4, "m", 0};
+  core::SnapshotRequest badReq = req;
+  badReq.kind = pastLast(core::SnapshotKind::kRolling);
   return {
       sample(grid::kMapPut, grid::MapPutBody{3, "key", "value"}),
       sample(grid::kMapGet, grid::MapGetBody{3, "key"}),
       sample(grid::kMapResponse, grid::MapResponseBody{3, true, "v"}),
       sample(grid::kBackupReplicate, grid::BackupReplicateBody{137, "k", "v"}),
       sample(grid::kHeartbeat, grid::HeartbeatBody{12}),
-      sample(grid::kSnapshotStart, grid::GridSnapshotStartBody{req}),
+      sample(grid::kSnapshotStart, grid::GridSnapshotStartBody{req}, {},
+             {grid::GridSnapshotStartBody{badReq}}),
       sample(grid::kSnapshotAck,
              grid::GridSnapshotAckBody{
-                 {5, 2, core::LocalSnapshotStatus::kComplete, 64}}),
+                 {5, 2, core::LocalSnapshotStatus::kComplete, 64}},
+             {},
+             {grid::GridSnapshotAckBody{
+                 {5, 2, pastLast(core::LocalSnapshotStatus::kRebalancing),
+                  64}}}),
   };
 }
 
@@ -456,27 +492,54 @@ TEST(WireDecode, HugeCountThrowsOutOfRangeBeforeAllocating) {
   EXPECT_THROW(hlc::VectorClock::readFrom(clock), std::out_of_range);
 }
 
+TEST(WireDecode, OutOfRangeEnumByteThrowsOutOfRange) {
+  auto samples = kvSamples();
+  for (auto& s : gridSamples()) samples.push_back(std::move(s));
+  size_t checked = 0;
+  for (const auto& s : samples) {
+    for (const std::string& bad : s.badEnums) {
+      ByteReader r(bad);
+      EXPECT_THROW(s.decode(r), std::out_of_range) << "type " << s.type;
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 8u);
+}
+
+/// The largest header a 64-bit packed timestamp holds: a clock that
+/// ticked on it would promote into l = 2^48, which no send can pack.
+constexpr hlc::Timestamp kMaxHeader{(int64_t{1} << 48) - 1,
+                                    hlc::Timestamp::kMaxLogical};
+
 /// `body` behind an HLC header far ahead of every clock: a message that
 /// wrongly reached a receive tick would move the receiver's HLC.
-std::string withHeader(const std::string& body) {
+std::string withHeader(const std::string& body,
+                       hlc::Timestamp header = {int64_t{1} << 40, 0}) {
   ByteWriter w;
-  hlc::Timestamp{int64_t{1} << 40, 0}.writeTo(w);
+  header.writeTo(w);
   w.writeRaw(body);
   return w.take();
 }
 
-/// Sends each sample from `from` to `to` cut at every shorter length and
-/// once with a trailing byte; returns how many messages that was.
+/// Sends each sample from `from` to `to` cut at every shorter length,
+/// once with a trailing byte, once behind kMaxHeader and once per
+/// out-of-range enum; returns how many messages that was.
 uint64_t sendMangled(runtime::ExecutionContext& ctx, NodeId from, NodeId to,
                      const std::vector<WireSample>& samples) {
   uint64_t sent = 0;
+  const auto sendOne = [&](uint32_t type, std::string payload) {
+    ctx.send(runtime::Message{from, to, type, std::move(payload)});
+    ++sent;
+  };
   for (const auto& s : samples) {
     const std::string wire = withHeader(s.body);
-    for (size_t len = 0; len <= wire.size(); ++len) {
-      ctx.send(runtime::Message{from, to, s.type,
-                                len < wire.size() ? wire.substr(0, len)
-                                                  : wire + '\0'});
-      ++sent;
+    for (size_t len = 0; len < wire.size(); ++len) {
+      sendOne(s.type, wire.substr(0, len));
+    }
+    sendOne(s.type, wire + '\0');
+    sendOne(s.type, withHeader(s.body, kMaxHeader));
+    for (const std::string& bad : s.badEnums) {
+      sendOne(s.type, withHeader(bad));
     }
   }
   return sent;
@@ -549,6 +612,85 @@ TEST(MalformedMessages, GridNodesDropAndCountWithoutStateChange) {
   EXPECT_EQ(member.retroscope().appendCount(), appends);
   EXPECT_EQ(member.retroscope().now(), memberHlc);
   EXPECT_EQ(client.clock().current(), clientHlc);
+}
+
+/// A get for "k" from `from` to `to` behind `header`.
+runtime::Message getBehind(NodeId from, NodeId to, hlc::Timestamp header) {
+  return {from, to, kv::kGetRequest,
+          withHeader(encode(kv::GetRequestBody{1, "k", 0}), header)};
+}
+
+TEST(MalformedMessages, OverflowingHlcHeaderIsDroppedAndCounted) {
+  kv::ClusterConfig cfg;
+  cfg.servers = 1;
+  cfg.clients = 1;
+  cfg.client.replicas = 1;
+  cfg.client.requiredWrites = 1;
+  cfg.client.requiredReads = 1;
+  kv::VoldemortCluster cluster(cfg);
+  cluster.client(0).put("k", "v", [](bool, TimeMicros) {});
+  cluster.env().run();
+  cluster.context().send(getBehind(cluster.clientId(0), 0, kMaxHeader));
+  // A get sent after it is still served.
+  OptValue got;
+  cluster.client(0).get("k", [&](bool, TimeMicros, OptValue v) { got = v; });
+  cluster.env().run();
+  kv::VoldemortServer& server = cluster.server(0);
+  EXPECT_EQ(got, OptValue("v"));
+  EXPECT_EQ(server.malformedMessages(), 1u);
+  EXPECT_LT(server.retroscope().now().l, hlc::kMaxReceivedMillis);
+}
+
+TEST(MalformedMessages, RealtimeServerSurvivesOverflowingHlcHeader) {
+  kv::RealtimeClusterConfig cfg;
+  cfg.servers = 1;
+  cfg.clients = 1;
+  cfg.client.replicas = 1;
+  cfg.client.requiredWrites = 1;
+  cfg.client.requiredReads = 1;
+  kv::RealtimeKvCluster cluster(cfg);
+  cluster.start();
+  cluster.context().send(
+      getBehind(cluster.clientId(0), cluster.serverId(0), kMaxHeader));
+  std::atomic<int> getResult{0};
+  cluster.context().post(cluster.clientId(0), [&] {
+    cluster.client(0).get("k", [&](bool ok, TimeMicros, OptValue) {
+      getResult.store(ok ? 1 : 2);
+    });
+  });
+  ASSERT_TRUE(runtime::waitForCondition([&] { return getResult.load() != 0; }));
+  cluster.stop();
+  EXPECT_EQ(getResult.load(), 1);
+  EXPECT_EQ(cluster.server(0).malformedMessages(), 1u);
+  EXPECT_LT(cluster.server(0).retroscope().now().l, hlc::kMaxReceivedMillis);
+}
+
+// A snapshot request whose kind byte names no SnapshotKind, against a
+// stored base, is dropped at decode: it must neither run nor complete.
+TEST(MalformedMessages, SnapshotRequestWithUnknownKindIsDropped) {
+  kv::ClusterConfig cfg;
+  cfg.servers = 1;
+  cfg.clients = 1;
+  kv::VoldemortCluster cluster(cfg);
+  cluster.preload(16, 8);
+  const core::SnapshotId baseId =
+      cluster.admin().snapshotNow([](const core::SnapshotSession&) {});
+  cluster.env().run();
+  kv::VoldemortServer& server = cluster.server(0);
+  ASSERT_EQ(server.snapshotsCompleted(), 1u);
+
+  const core::SnapshotId probeId = baseId + 100;
+  core::SnapshotRequest req{probeId, server.retroscope().now(),
+                            pastLast(core::SnapshotKind::kRolling), baseId,
+                            "store", 0};
+  cluster.context().send(runtime::Message{
+      cluster.adminId(), 0, kv::kSnapshotRequest,
+      withHeader(encode(kv::SnapshotRequestBody{req}),
+                 cluster.admin().clock().current())});
+  cluster.env().run();
+  EXPECT_EQ(server.malformedMessages(), 1u);
+  EXPECT_EQ(server.snapshotsCompleted(), 1u);
+  EXPECT_FALSE(server.snapshots().contains(probeId));
 }
 
 TEST(MalformedMessages, RealtimeServerSurvivesThreeBytePut) {
